@@ -67,7 +67,13 @@ let csv_dir = ref None
 let json_path = ref None
 let current_section = ref "table"
 let current_title = ref ""
-let section_start = ref 0.
+let section_start = ref 0L
+
+(* every timing in the harness reads the monotonic clock *)
+let time f =
+  let t0 = Resil.Clock.now_ns () in
+  let r = f () in
+  r, Resil.Clock.elapsed_s ~since:t0
 
 (* (section id, section title, header, rows, seconds since section start,
    metrics since section start), accumulated by [print_table] in emission
@@ -91,7 +97,7 @@ let btrack ~n ~cap : (module Shmem.Protocol.S) =
 let section_header id title =
   current_section := id;
   current_title := title;
-  section_start := Unix.gettimeofday ();
+  section_start := Resil.Clock.now_ns ();
   (* per-section metrics: each table's snapshot covers the work since its
      section header (instrumentation is only live under [--json]) *)
   if Obs.enabled () then Obs.reset ();
@@ -150,7 +156,7 @@ let print_table header rows =
     , !current_title
     , header
     , rows
-    , Unix.gettimeofday () -. !section_start
+    , Resil.Clock.elapsed_s ~since:!section_start
     , if Obs.enabled () then Obs.snapshot () else Obs.empty_snapshot )
     :: !json_tables
 
@@ -288,14 +294,13 @@ let t3 () =
       (fun n ->
         let (module B) = Baselines.Binary_track_consensus.make ~n ~cap:8 in
         let module L = Lowerbound.Binary_lb.Make (B) in
-        let t0 = Unix.gettimeofday () in
-        let r = L.run () in
+        let r, dt = time L.run in
         [ string_of_int n
         ; string_of_int r.L.distinct_objects
         ; string_of_int r.L.bound
         ; string_of_int (List.length r.L.x)
         ; string_of_int (List.length r.L.y)
-        ; Fmt.str "%.1fs" (Unix.gettimeofday () -. t0)
+        ; Fmt.str "%.1fs" dt
         ])
       [ 3; 4; 5; 6; 7; 8 ]
   in
@@ -635,79 +640,23 @@ let t8 () =
 
 (* ------------------------------------------------------------------ T9 *)
 
-(* The seed checker's traversal (commit 1298ebb) inlined as the throughput
-   baseline: one flat hash table, a Queue of whole configurations, and —
-   the dominant cost — solo-termination checks that re-run [run_solo] from
-   scratch for every undecided process of every visited configuration.
-   lib/explore replaces this with an interned configuration store and a
-   memoized solo oracle, and optionally shards the frontier across domains;
-   T9 quantifies the gain on identical state spaces. *)
-module Seed_bfs (P : Shmem.Protocol.S) = struct
-  module E = Shmem.Exec.Make (P)
-
-  module Cfg_tbl = Hashtbl.Make (struct
-    type t = E.config
-
-    let equal = E.equal_config
-    let hash = E.hash_config
-  end)
-
-  let solo_cap = 64 * (Array.length P.objects + 1)
-
-  let explore ?(max_configs = 200_000) ?(prune = fun _ -> false) ~inputs () =
-    let c0 = E.initial ~inputs in
-    let seen = Cfg_tbl.create 4096 in
-    let parents = Cfg_tbl.create 4096 in
-    let queue = Queue.create () in
-    let bad = ref 0 in
-    let check c =
-      if not (E.check_agreement c) then incr bad;
-      if not (E.check_validity ~inputs c) then incr bad;
-      List.iter
-        (fun pid ->
-          match E.run_solo ~pid ~max_steps:solo_cap c with
-          | Some _ -> ()
-          | None -> incr bad)
-        (E.undecided c)
-    in
-    Cfg_tbl.replace seen c0 ();
-    Cfg_tbl.replace parents c0 None;
-    Queue.push c0 queue;
-    let explored = ref 0 in
-    while not (Queue.is_empty queue) do
-      let c = Queue.pop queue in
-      incr explored;
-      check c;
-      if prune c then ()
-      else if Cfg_tbl.length seen >= max_configs then ()
-      else
-        List.iter
-          (fun pid ->
-            let c', step = E.step c pid in
-            if not (Cfg_tbl.mem seen c') then begin
-              Cfg_tbl.replace seen c' ();
-              Cfg_tbl.replace parents c' (Some (c, step));
-              Queue.push c' queue
-            end)
-          (E.undecided c)
-    done;
-    !explored, !bad
-end
-
+(* The seed checker's traversal (commit 1298ebb, frozen in
+   test/seed_ref.ml) is the throughput baseline: one flat hash table, a
+   Queue of whole configurations, and — the dominant cost — solo-termination
+   checks that re-run [run_solo] from scratch for every undecided process of
+   every visited configuration.  lib/explore replaces this with an interned
+   configuration store and a memoized solo oracle, and optionally shards the
+   frontier across domains; T9 quantifies the gain on identical state
+   spaces. *)
 let t9 () =
   section_header "t9"
     "exploration throughput: seed BFS vs lib/explore (Swap_ksa)";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    r, Unix.gettimeofday () -. t0
-  in
   let rate cfgs t = float_of_int cfgs /. t in
   let rows =
     List.map
       (fun (n, k, m, lap, max_configs) ->
         let (module P) = Core.Swap_ksa.make ~n ~k ~m in
-        let module S = Seed_bfs (P) in
+        let module S = Seed_ref.Checker_ref (P) in
         let module C = Checker.Make (P) in
         (* bound the total lap progress so the reachable space is finite
            (and the budget is never hit — truncation order would differ
@@ -725,9 +674,10 @@ let t9 () =
           !total > lap
         in
         let inputs = Array.init n (fun i -> i mod m) in
-        let (seed_cfgs, seed_bad), seed_t =
+        let seed_r, seed_t =
           time (fun () -> S.explore ~max_configs ~prune ~inputs ())
         in
+        let seed_cfgs = seed_r.Checker.configs_explored in
         let serial_r, serial_t =
           time (fun () -> C.explore ~max_configs ~prune ~inputs ())
         in
@@ -738,7 +688,9 @@ let t9 () =
         (* all three engines must have visited the same state space *)
         assert (seed_cfgs = serial_r.Checker.configs_explored);
         assert (seed_cfgs = par_r.Checker.configs_explored);
-        assert (seed_bad = List.length serial_r.Checker.violations);
+        assert (
+          List.length seed_r.Checker.violations
+          = List.length serial_r.Checker.violations);
         [ string_of_int n
         ; string_of_int k
         ; string_of_int seed_cfgs
@@ -773,11 +725,6 @@ let t9 () =
 let t10 () =
   section_header "t10"
     "chaos campaigns: fault-injection throughput and detection counts";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    r, Unix.gettimeofday () -. t0
-  in
   let sim_row name (module P : Shmem.Protocol.S) kinds_label kinds runs =
     let module F = Fault.Sim (P) in
     let s, t = time (fun () -> F.campaign ~seed:42 ~runs ~kinds ()) in
@@ -846,11 +793,6 @@ let t11 () =
   section_header "t11"
     "static analysis: lint throughput and measured solo maxima vs proved \
      bounds";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    r, Unix.gettimeofday () -. t0
-  in
   let rows =
     List.map
       (fun (e : Baselines.Registry.entry) ->
@@ -902,11 +844,6 @@ let t11 () =
 let t12 () =
   section_header "t12"
     "symmetry + POR: reduced vs unreduced exploration (Swap_ksa)";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    r, Unix.gettimeofday () -. t0
-  in
   let max_configs = 3_000_000 in
   let check_rows =
     List.map
@@ -1006,11 +943,6 @@ let t12 () =
 let t13 () =
   section_header "t13"
     "declared-property overhead: exploration with vs without §4 props";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    r, Unix.gettimeofday () -. t0
-  in
   (* interleave the two sides trial by trial: background-load drift on a
      shared runner then biases both minima equally instead of landing
      wholly on whichever side was measured second *)
@@ -1283,40 +1215,22 @@ let t16 () =
   (* lint throughput: the whole-tree plan [swapspace lint] runs, timed.
      The bench may be invoked away from the repo root (e.g. an installed
      binary); skip rather than fail in that case. *)
-  let core = [ "lib/core"; "lib/baselines" ] in
-  let mono =
-    [ "lib/resil"; "lib/runtime"; "lib/arena"; "lib/prop"; "lib/obs"
-    ; "lib/fault" ]
-  in
-  let conc = [ "lib/runtime"; "lib/arena"; "lib/resil" ] in
-  if List.for_all Sys.file_exists (core @ mono @ conc) then begin
-    let plan =
-      List.map
-        (fun d -> d, [ Lint.purity; Lint.poly_hash; Lint.state_equality ])
-        core
-      @ List.map (fun d -> d, [ Lint.monotonic ]) mono
-      @ List.map
-          (fun d -> d, [ Lint.domain_escape; Lint.atomics_discipline ])
-          conc
-    in
+  (match Lint.repo_plan ~root:"." with
+  | [] -> Fmt.pr "lint throughput skipped: source tree not visible from cwd@."
+  | plan ->
     let files =
       List.fold_left
         (fun acc (d, _) -> acc + List.length (Lint.ml_files d))
         0 plan
     in
-    let t0 = Unix.gettimeofday () in
-    let findings = Lint.run_plan plan in
-    let dt = Unix.gettimeofday () -. t0 in
+    let findings, dt = time (fun () -> Lint.run_plan plan) in
     print_table
       [ "lint files"; "findings"; "wall (s)"; "files/s" ]
       [ [ string_of_int files
         ; string_of_int (List.length findings)
         ; Fmt.str "%.3f" dt
         ; Fmt.str "%.0f" (float_of_int files /. Float.max dt 1e-9)
-        ] ]
-  end
-  else
-    Fmt.pr "lint throughput skipped: source tree not visible from cwd@.";
+        ] ]);
   Fmt.pr
     "space certification explores the reduced configuration graph and \
      unions the objects any reachable process is poised to access: \

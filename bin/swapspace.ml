@@ -1241,25 +1241,11 @@ let lint_cmd =
       | None -> ps
       | Some sel -> List.filter (fun p -> List.memq p sel) ps
     in
-    let dir d = Filename.concat root d in
-    (* the repo lint plan: protocol purity over the proof-bearing
-       libraries, the wall-clock ban over every deadline/metrics layer,
-       and the concurrency discipline over the layers that spawn domains *)
-    let core = [ Lint.purity; Lint.poly_hash; Lint.state_equality ] in
-    let conc = [ Lint.domain_escape; Lint.atomics_discipline ] in
     let plan =
-      List.map (fun d -> dir d, filter core) [ "lib/core"; "lib/baselines" ]
-      @ List.map
-          (fun d -> dir d, filter [ Lint.monotonic ])
-          [ "lib/resil"; "lib/runtime"; "lib/arena"; "lib/prop"; "lib/obs"
-          ; "lib/fault"
-          ]
-      @ List.map
-          (fun d -> dir d, filter conc)
-          [ "lib/runtime"; "lib/arena"; "lib/resil" ]
-    in
-    let plan =
-      List.filter (fun (d, ps) -> ps <> [] && Sys.file_exists d) plan
+      List.filter_map
+        (fun (d, ps) ->
+          match filter ps with [] -> None | ps -> Some (d, ps))
+        (Lint.repo_plan ~root)
     in
     if plan = [] then begin
       Fmt.epr

@@ -29,6 +29,9 @@ let () =
 
   (* the 2-process special case needs a single swap object and one
      operation per process *)
-  let d0, d1 = Multicore.Two_proc_mc.run ~input0:0 ~input1:1 in
-  assert (d0 = d1);
+  let (module P) = Core.Two_proc_swap.make ~m:2 in
+  let module R = Runtime.Make (P) in
+  let o = R.run ~inputs:[| 0; 1 |] () in
+  let d0 = o.R.decisions.(0) in
+  assert (o.R.decisions.(1) = d0);
   Fmt.pr "2-process election from ONE swap object: both chose %d@." d0

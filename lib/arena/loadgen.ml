@@ -74,7 +74,7 @@ let run ~protocol ~clients ~rounds ~workers ?(seed = 0x5EED) ?arenas
       ~paranoid ()
   in
   let open S in
-  let q h p = Service.Hist.quantile h p /. 1e3 in
+  let q h p = Obs.Local_histogram.quantile h p /. 1e3 in
   let per_sec n = if s.elapsed > 0. then float_of_int n /. s.elapsed else 0. in
   { protocol = P.name;
     clients;

@@ -10,78 +10,6 @@ module Sh = Shmem
 
 exception Killed of int
 
-(* ------------------------------------------------------------------ *)
-(* Always-on latency histograms (power-of-two ns buckets).  Obs
-   histograms are also fed, but they are off unless the caller enabled
-   metrics, and the load generator must report quantiles regardless. *)
-
-module Hist = struct
-  let buckets = 63
-
-  type t = {
-    counts : int array;
-    mutable n : int;
-    mutable sum_ns : float;
-    mutable max_ns : int;
-  }
-
-  let create () =
-    { counts = Array.make buckets 0; n = 0; sum_ns = 0.; max_ns = 0 }
-
-  (* floor(log2 ns), clamped into [0, buckets) *)
-  let bucket_of ns =
-    if ns <= 1 then 0
-    else begin
-      let b = ref 0 and v = ref ns in
-      while !v > 1 do
-        incr b;
-        v := !v lsr 1
-      done;
-      min !b (buckets - 1)
-    end
-
-  let observe t ns =
-    let ns = if ns < 0 then 0 else ns in
-    let b = bucket_of ns in
-    t.counts.(b) <- t.counts.(b) + 1;
-    t.n <- t.n + 1;
-    t.sum_ns <- t.sum_ns +. float_of_int ns;
-    if ns > t.max_ns then t.max_ns <- ns
-
-  let merge_into ~into t =
-    Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) t.counts;
-    into.n <- into.n + t.n;
-    into.sum_ns <- into.sum_ns +. t.sum_ns;
-    if t.max_ns > into.max_ns then into.max_ns <- t.max_ns
-
-  let count t = t.n
-  let max_ns t = t.max_ns
-  let mean_ns t = if t.n = 0 then 0. else t.sum_ns /. float_of_int t.n
-
-  let quantile t q =
-    if q < 0. || q > 1. then invalid_arg "Service.Hist.quantile";
-    if t.n = 0 then 0.
-    else begin
-      let rank =
-        max 1 (min t.n (int_of_float (Float.ceil (q *. float_of_int t.n))))
-      in
-      let acc = ref 0 and b = ref 0 in
-      while !acc < rank && !b < buckets do
-        acc := !acc + t.counts.(!b);
-        incr b
-      done;
-      (* upper edge of the bucket that crossed the rank, capped by the
-         true maximum so q = 1 is exact *)
-      let upper =
-        if !b >= buckets then float_of_int t.max_ns
-        else float_of_int ((1 lsl !b) - 1)
-      in
-      Float.min upper (float_of_int t.max_ns)
-    end
-end
-
-(* ------------------------------------------------------------------ *)
-
 module Make (P : Sh.Protocol.S) = struct
   module R = Runtime.Make (P)
 
@@ -131,8 +59,8 @@ module Make (P : Sh.Protocol.S) = struct
     conservation : (unit, string) result;
     residue : int;
     elapsed : float;
-    admit_hist : Hist.t;
-    decide_hist : Hist.t;
+    admit_hist : Obs.Local_histogram.t;
+    decide_hist : Obs.Local_histogram.t;
     digest : int;
   }
 
@@ -215,8 +143,10 @@ module Make (P : Sh.Protocol.S) = struct
     let admit_lock = Atomic.make false in
     (* mutated only inside the admit critical section *)
     let digest = ref Sh.Hashx.seed in
-    let admit_hist = Hist.create () in
-    let decide_hists = Array.init workers (fun _ -> Hist.create ()) in
+    let admit_hist = Obs.Local_histogram.create () in
+    let decide_hists =
+      Array.init workers (fun _ -> Obs.Local_histogram.create ())
+    in
     let kills = Atomic.make 0 in
     let adoptions = Atomic.make 0 in
     let steals = Atomic.make 0 in
@@ -312,7 +242,7 @@ module Make (P : Sh.Protocol.S) = struct
                 c.pending <- true;
                 inputs.(pid) <- input_of ~client:c.id ~served:c.served;
                 let lat = Int64.to_int (Int64.sub now c.submit_ns) in
-                Hist.observe admit_hist lat;
+                Obs.Local_histogram.observe admit_hist lat;
                 Obs.Histogram.observe h_admit lat;
                 d := Sh.Hashx.int (Sh.Hashx.int !d c.id) inputs.(pid))
               members;
@@ -456,7 +386,7 @@ module Make (P : Sh.Protocol.S) = struct
           c.pending <- false;
           c.served <- c.served + 1;
           let lat = Int64.to_int (Int64.sub now c.submit_ns) in
-          Hist.observe decide_hists.(wslot) lat;
+          Obs.Local_histogram.observe decide_hists.(wslot) lat;
           Obs.Histogram.observe h_decide lat;
           let tt = think ~client:c.id ~served:c.served in
           if tt <= 0 then submit now c
@@ -605,8 +535,10 @@ module Make (P : Sh.Protocol.S) = struct
             (Fmt.str "%d clients accounted for, expected %d" !count clients)
         else Ok ()
     in
-    let decide_hist = Hist.create () in
-    Array.iter (fun h -> Hist.merge_into ~into:decide_hist h) decide_hists;
+    let decide_hist = Obs.Local_histogram.create () in
+    Array.iter
+      (fun h -> Obs.Local_histogram.merge_into ~into:decide_hist h)
+      decide_hists;
     { rounds_done = Atomic.get completed;
       target;
       decisions = Atomic.get decisions;

@@ -47,25 +47,6 @@
 exception Killed of int
 (** raised inside a worker by the chaos overlay; carries the round id *)
 
-(** Always-on power-of-two-bucket latency histograms.  [Obs] histograms
-    are also fed, but those are off unless metrics were enabled, and the
-    load generator must report quantiles regardless. *)
-module Hist : sig
-  type t
-
-  val create : unit -> t
-  val observe : t -> int -> unit
-  val merge_into : into:t -> t -> unit
-  val count : t -> int
-  val max_ns : t -> int
-  val mean_ns : t -> float
-
-  val quantile : t -> float -> float
-  (** upper edge (ns) of the bucket containing the q-quantile, capped by
-      the observed maximum; 0 on an empty histogram.
-      @raise Invalid_argument unless [0 <= q <= 1] *)
-end
-
 module Make (P : Shmem.Protocol.S) : sig
   module R : module type of Runtime.Make (P)
 
@@ -95,8 +76,10 @@ module Make (P : Shmem.Protocol.S) : sig
             outside a round — lost or duplicated clients surface here *)
     residue : int;  (** paranoid-mode reset-residue detections *)
     elapsed : float;  (** monotonic seconds *)
-    admit_hist : Hist.t;  (** submit [->] admission latency, ns *)
-    decide_hist : Hist.t;  (** submit [->] decision latency, ns *)
+    admit_hist : Obs.Local_histogram.t;
+        (** submit [->] admission latency, ns (always on) *)
+    decide_hist : Obs.Local_histogram.t;
+        (** submit [->] decision latency, ns (always on) *)
     digest : int;
         (** fold-hash of every admission batch (round id, member ids,
             inputs) — with [workers = 1] it is a deterministic function

@@ -1,6 +1,5 @@
-(* Linearizability checking.  The generic Wing & Gong engine works over any
-   shared-object kind of the model ([Obj_history]); the original int-valued
-   swap-cell interface below is a thin façade over it. *)
+(* Linearizability checking: the Wing & Gong engine over any shared-object
+   kind of the model. *)
 
 module Obj_history = struct
   type event = {
@@ -78,87 +77,3 @@ module Obj_history = struct
            Fmt.(list ~sep:(any "; ") pp_event)
            (List.filteri (fun i _ -> i < 4) history))
 end
-
-type op = Read | Swap of int
-
-type event = {
-  thread : int;
-  op : op;
-  result : int;
-  start : int;
-  finish : int;
-}
-
-type history = event list
-
-let pp_event ppf e =
-  let pp_op ppf = function
-    | Read -> Fmt.string ppf "Read"
-    | Swap v -> Fmt.pf ppf "Swap(%d)" v
-  in
-  Fmt.pf ppf "t%d %a -> %d @@ [%d,%d]" e.thread pp_op e.op e.result e.start
-    e.finish
-
-let record ~threads ~ops_per_thread ?(seed = 7) ~exchange () =
-  let cell = Atomic.make 0 in
-  let clock = Atomic.make 0 in
-  let now () = Atomic.fetch_and_add clock 1 in
-  let results = Array.make threads [] in
-  let worker thread =
-    let rng = Random.State.make [| seed; thread |] in
-    let events = ref [] in
-    for i = 1 to ops_per_thread do
-      let op =
-        if Random.State.bool rng then Read
-        else Swap ((thread * ops_per_thread) + i)
-      in
-      let start = now () in
-      let result =
-        match op with
-        | Read -> Atomic.get cell
-        | Swap v -> exchange cell v
-      in
-      let finish = now () in
-      events := { thread; op; result; start; finish } :: !events
-    done;
-    results.(thread) <- List.rev !events
-  in
-  let domains =
-    Array.init threads (fun t -> Domain.spawn (fun () -> worker t))
-  in
-  Array.iter Domain.join domains;
-  Array.to_list results |> List.concat
-
-(* the int-valued swap cell is a readable swap object over Int values *)
-let int_kind = Shmem.Obj_kind.Readable_swap Shmem.Obj_kind.Unbounded
-
-let to_generic e =
-  { Obj_history.thread = e.thread
-  ; action =
-      (match e.op with
-      | Read -> Shmem.Op.Read
-      | Swap v -> Shmem.Op.Swap (Shmem.Value.Int v))
-  ; response = Shmem.Value.Int e.result
-  ; start = e.start
-  ; finish = e.finish
-  }
-
-let linearizable ~init history =
-  Obj_history.linearizable ~kind:int_kind ~init:(Shmem.Value.Int init)
-    (List.map to_generic history)
-
-let explain ~init history =
-  (* generic events are created one per original event, so the witness maps
-     back by physical identity *)
-  let pairs = List.map (fun e -> to_generic e, e) history in
-  match
-    Obj_history.search ~kind:int_kind ~init:(Shmem.Value.Int init)
-      (List.map fst pairs)
-  with
-  | Some order -> Ok (List.map (fun g -> List.assq g pairs) order)
-  | None ->
-    Error
-      (Fmt.str "no linearization of %d events exists (first events: %a)"
-         (List.length history)
-         Fmt.(list ~sep:(any "; ") pp_event)
-         (List.filteri (fun i _ -> i < 4) history))

@@ -1,23 +1,21 @@
 (** Linearizability checking for the shared objects of the model.
 
-    The multicore backends claim that OCaml's [Atomic] primitives implement
-    the paper's objects.  This module substantiates that claim: it records
-    concurrent histories of operations applied to a shared cell by real
-    domains, then decides — with the Wing & Gong algorithm — whether the
-    history is linearizable with respect to the object's sequential
-    specification.
+    The multicore backend claims that OCaml's [Atomic] primitives implement
+    the paper's objects.  This module substantiates that claim: given a
+    concurrent history of operations applied to one shared object, it
+    decides — with the Wing & Gong algorithm — whether the history is
+    linearizable with respect to the object's sequential specification.
 
-    {!Obj_history} is the generic engine: events carry a model action
-    ([Shmem.Op.action]) and a model response ([Shmem.Value.t]), and legality
-    is delegated to [Shmem.Obj_kind.apply], so one checker covers registers,
-    swap objects, TAS and CAS alike.  [lib/runtime]'s generic interpreter
-    records histories in exactly this format.  The int-valued swap-cell
-    interface below (the original seed interface) is a façade over the
-    generic engine.
+    Events carry a model action ([Shmem.Op.action]) and a model response
+    ([Shmem.Value.t]), and legality is delegated to [Shmem.Obj_kind.apply],
+    so one checker covers registers, swap objects, TAS and CAS alike.
+    [lib/runtime] records histories in exactly this format, from protocol
+    runs ([Runtime.Make]'s [~record:true]) and from single-cell stress runs
+    ([Runtime.record_cell]).
 
     A deliberately non-atomic exchange (read, pause, write) produces
     non-linearizable histories under contention, which the checker
-    detects — see the mutation tests. *)
+    detects — see test_runtime's mutation tests. *)
 
 (** Histories over any object kind of the model. *)
 module Obj_history : sig
@@ -49,38 +47,3 @@ module Obj_history : sig
   (** like {!linearizable} but returns the witness order, or a message
       describing why none exists *)
 end
-
-type op = Read | Swap of int
-
-type event = {
-  thread : int;
-  op : op;
-  result : int;  (** the value returned (for both reads and swaps) *)
-  start : int;  (** global timestamp at invocation *)
-  finish : int;  (** global timestamp at response *)
-}
-
-type history = event list
-
-val pp_event : Format.formatter -> event -> unit
-
-val record :
-  threads:int ->
-  ops_per_thread:int ->
-  ?seed:int ->
-  exchange:(int Atomic.t -> int -> int) ->
-  unit ->
-  history
-(** run [threads] domains, each applying [ops_per_thread] random operations
-    (reads via [Atomic.get], swaps via [exchange]) to one shared cell
-    initialised to [0].  Timestamps come from a global atomic counter
-    incremented at every invocation and response, so an operation's
-    linearization point lies in [[start, finish]]. *)
-
-val linearizable : init:int -> history -> bool
-(** {!Obj_history.linearizable} on an unbounded readable swap object over
-    [Int] values *)
-
-val explain : init:int -> history -> (event list, string) result
-(** like {!linearizable} but returns the witness order, or a message
-    describing why none exists *)

@@ -417,6 +417,29 @@ let find_pass name =
       (Fmt.str "unknown pass %s (known: %s)" name
          (String.concat ", " (List.map (fun p -> p.name) registry)))
 
+(* the repository's plan: protocol purity over the proof-bearing
+   libraries, the wall-clock ban over every deadline/metrics/timing layer,
+   and the concurrency discipline over the layers that spawn domains *)
+let repo_plan ~root =
+  let targets =
+    List.map
+      (fun d -> d, [ purity; poly_hash; state_equality ])
+      [ "lib/core"; "lib/baselines" ]
+    @ List.map
+        (fun d -> d, [ monotonic ])
+        [ "lib/resil"; "lib/runtime"; "lib/arena"; "lib/prop"; "lib/obs"
+        ; "lib/fault"; "lib/multicore"; "bench"
+        ]
+    @ List.map
+        (fun d -> d, [ domain_escape; atomics_discipline ])
+        [ "lib/runtime"; "lib/arena"; "lib/resil" ]
+  in
+  List.filter_map
+    (fun (d, passes) ->
+      let d = Filename.concat root d in
+      if Sys.file_exists d then Some (d, passes) else None)
+    targets
+
 (* -------------------------------------------------------------- driving *)
 
 let m_files = Obs.counter "lint.files"

@@ -76,6 +76,15 @@ val registry : pass list
 val find_pass : string -> (pass, string) result
 (** look a pass up by name; [Error] lists the known names *)
 
+val repo_plan : root:string -> (string * pass list) list
+(** the repository's lint plan, rooted at [root]: purity, poly-hash and
+    state-equality over [lib/core] and [lib/baselines]; the wall-clock
+    ban over [lib/resil], [lib/runtime], [lib/arena], [lib/prop],
+    [lib/obs], [lib/fault], [lib/multicore] and [bench]; the concurrency
+    passes over [lib/runtime], [lib/arena] and [lib/resil].  Directories
+    missing under [root] are left out.  The @srclint alias in [bin/dune]
+    lists the same directories. *)
+
 (** {1 Running} *)
 
 val ml_files : string -> string list

@@ -22,7 +22,7 @@ let run ~n ~k ~m ~inputs ?(seed = 0x5EED) ?(max_passes = 1_000_000) () =
   let nk = n - k in
   let objects =
     Array.init nk (fun _ ->
-        Atomic_swap.make { laps = Array.make m 0; owner = -1 })
+        Atomic.make { laps = Array.make m 0; owner = -1 })
   in
   let decisions = Array.make n (-1) in
   let passes = Array.make n 0 in
@@ -42,7 +42,7 @@ let run ~n ~k ~m ~inputs ?(seed = 0x5EED) ?(max_passes = 1_000_000) () =
       for i = 0 to nk - 1 do
         incr my_swaps;
         let prev =
-          Atomic_swap.swap objects.(i) { laps = Array.copy u; owner = pid }
+          Atomic.exchange objects.(i) { laps = Array.copy u; owner = pid }
         in
         let same_u = Array.for_all2 Int.equal prev.laps u in
         if not (same_u && prev.owner = pid) then conflict := true;
@@ -83,10 +83,10 @@ let run ~n ~k ~m ~inputs ?(seed = 0x5EED) ?(max_passes = 1_000_000) () =
     in
     go 1
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Resil.Clock.now_ns () in
   let domains = Array.init n (fun pid -> Domain.spawn (fun () -> process pid)) in
   Array.iter Domain.join domains;
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Resil.Clock.elapsed_s ~since:t0 in
   { decisions; passes; swaps; elapsed }
 
 let check ~inputs ~k outcome =

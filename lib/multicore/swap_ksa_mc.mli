@@ -1,5 +1,9 @@
 (** Algorithm 1 on real shared memory: [n] domains racing on [n-k] hardware
-    swap objects ({!Atomic_swap}, i.e. [Atomic.exchange]).
+    swap objects.  OCaml 5's [Atomic.exchange] compiles to an atomic
+    exchange instruction, which is exactly the paper's [Swap(B, v)]: it
+    sets the value and returns the previous one in one atomic step.  The
+    objects are only ever swapped, never read, and the lap-counter arrays
+    stored in them are never mutated after the swap.
 
     Obstruction freedom alone does not guarantee termination under real
     contention, so each process performs randomized exponential backoff
@@ -19,7 +23,8 @@ type outcome = {
   decisions : int array;  (** decision of each process, index = pid *)
   passes : int array;  (** full passes over the objects, per process *)
   swaps : int array;  (** Swap operations executed, per process *)
-  elapsed : float;  (** wall-clock seconds for all processes to decide *)
+  elapsed : float;
+      (** monotonic seconds ([Resil.Clock]) for all processes to decide *)
 }
 
 val run :

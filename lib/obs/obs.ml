@@ -427,16 +427,20 @@ type snapshot = {
 
 let empty_snapshot = { counters = []; hists = []; spans = [] }
 
-let dist_of_hist (h : Histogram.t) =
+(* the sparse bucket list of a dense per-bucket count *)
+let sparse_buckets count_of =
   let buckets = ref [] in
   for i = nbuckets - 1 downto 0 do
-    let c = Atomic.get h.Histogram.counts.(i) in
+    let c = count_of i in
     if c > 0 then buckets := (i, c) :: !buckets
   done;
+  !buckets
+
+let dist_of_hist (h : Histogram.t) =
   { count = Atomic.get h.Histogram.total
   ; sum = Atomic.get h.Histogram.sum
   ; max_v = Atomic.get h.Histogram.max_v
-  ; buckets = !buckets
+  ; buckets = sparse_buckets (fun i -> Atomic.get h.Histogram.counts.(i))
   }
 
 let quantile d q =
@@ -454,6 +458,48 @@ let quantile d q =
   end
 
 let mean d = if d.count = 0 then 0. else float_of_int d.sum /. float_of_int d.count
+
+(* the same buckets as [Histogram], in plain mutable fields: one owner
+   writes, nothing reads the global switch *)
+module Local_histogram = struct
+  type t = {
+    counts : int array;  (* length [nbuckets] *)
+    mutable count : int;
+    mutable sum : int;
+    mutable max_v : int;
+  }
+
+  let create () =
+    { counts = Array.make nbuckets 0; count = 0; sum = 0; max_v = 0 }
+
+  let observe t v =
+    let v = if v < 0 then 0 else v in
+    let b = bucket_of v in
+    t.counts.(b) <- t.counts.(b) + 1;
+    t.count <- t.count + 1;
+    t.sum <- t.sum + v;
+    if v > t.max_v then t.max_v <- v
+
+  let merge_into ~into t =
+    Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) t.counts;
+    into.count <- into.count + t.count;
+    into.sum <- into.sum + t.sum;
+    if t.max_v > into.max_v then into.max_v <- t.max_v
+
+  let count t = t.count
+  let max_v t = t.max_v
+
+  let to_dist t =
+    { count = t.count
+    ; sum = t.sum
+    ; max_v = t.max_v
+    ; buckets = sparse_buckets (fun i -> t.counts.(i))
+    }
+
+  let quantile t q =
+    if q < 0. || q > 1. then invalid_arg "Obs.Local_histogram.quantile";
+    float_of_int (quantile (to_dist t) q)
+end
 
 let snapshot ?(registry = Registry.default) () =
   let counters = ref [] and hists = ref [] and spans = ref [] in

@@ -156,6 +156,30 @@ val quantile : dist -> float -> int
 
 val mean : dist -> float
 
+(** An always-on histogram with a single owner: the same power-of-two
+    buckets as {!Histogram}, in plain mutable fields.  It ignores the
+    global switch, so it records whether or not metrics are enabled, and
+    it touches no atomic, so it belongs on one domain (or behind a lock).
+    Merge per-owner histograms with {!merge_into} once the owners are
+    done. *)
+module Local_histogram : sig
+  type t
+
+  val create : unit -> t
+  val observe : t -> int -> unit
+  (** negative observations clamp to 0, as in {!Histogram.observe} *)
+
+  val merge_into : into:t -> t -> unit
+  val count : t -> int
+  val max_v : t -> int
+
+  val quantile : t -> float -> float
+  (** {!quantile} over the same buckets: the upper edge of the bucket
+      holding the [q]-quantile, capped by the observed maximum; 0 when
+      empty.
+      @raise Invalid_argument unless [0 <= q <= 1] *)
+end
+
 val merge : snapshot -> snapshot -> snapshot
 (** pointwise: counters add, distributions add counts/sums/buckets and take
     the max of maxima.  Associative and commutative with {!empty_snapshot}

@@ -230,7 +230,7 @@ let test_serve_quiet () =
   | Error e -> Alcotest.fail ("conservation: " ^ e));
   Alcotest.(check bool) "summary ok" true (S.ok s);
   Alcotest.(check bool) "latency recorded" true
-    (Arena.Service.Hist.count s.S.decide_hist = s.S.decisions)
+    (Obs.Local_histogram.count s.S.decide_hist = s.S.decisions)
 
 let test_serve_validation () =
   let (module P) = mk_swap_ksa () in
@@ -320,7 +320,7 @@ let test_stealing_conserves_clients () =
   Alcotest.(check bool) "kills healed by adoption" true
     (s.S.adoptions >= s.S.kills - List.length s.S.gave_up);
   Alcotest.(check bool) "every decision delivered once" true
-    (Arena.Service.Hist.count s.S.decide_hist = s.S.decisions)
+    (Obs.Local_histogram.count s.S.decide_hist = s.S.decisions)
 
 (* ------------------------------------ service: degraded-bound contract *)
 
@@ -403,16 +403,16 @@ let test_loadgen_chaos_soak () =
 (* ------------------------------------------------- service histograms *)
 
 let test_hist_quantiles () =
-  let h = Arena.Service.Hist.create () in
+  let h = Obs.Local_histogram.create () in
   Alcotest.(check (float 0.)) "empty quantile" 0.
-    (Arena.Service.Hist.quantile h 0.99);
+    (Obs.Local_histogram.quantile h 0.99);
   for ns = 1 to 1000 do
-    Arena.Service.Hist.observe h ns
+    Obs.Local_histogram.observe h ns
   done;
-  Alcotest.(check int) "count" 1000 (Arena.Service.Hist.count h);
-  Alcotest.(check int) "max" 1000 (Arena.Service.Hist.max_ns h);
-  let p50 = Arena.Service.Hist.quantile h 0.5 in
-  let p99 = Arena.Service.Hist.quantile h 0.99 in
+  Alcotest.(check int) "count" 1000 (Obs.Local_histogram.count h);
+  Alcotest.(check int) "max" 1000 (Obs.Local_histogram.max_v h);
+  let p50 = Obs.Local_histogram.quantile h 0.5 in
+  let p99 = Obs.Local_histogram.quantile h 0.99 in
   Alcotest.(check bool) "monotone" true (p99 >= p50);
   Alcotest.(check bool) "p99 within max" true (p99 <= 1000.);
   Alcotest.(check bool)
@@ -420,7 +420,7 @@ let test_hist_quantiles () =
     true
     (p50 >= 400. && p50 <= 1023.);
   (try
-     ignore (Arena.Service.Hist.quantile h 1.5);
+     ignore (Obs.Local_histogram.quantile h 1.5);
      Alcotest.fail "q > 1 accepted"
    with Invalid_argument _ -> ())
 

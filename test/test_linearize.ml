@@ -1,95 +1,42 @@
-(* Linearizability tests: Atomic.exchange really is the paper's Swap, and a
-   non-atomic exchange is caught. *)
+(* Linearizability checker tests on hand-built histories of a readable swap
+   object over Int values.  Real-hardware histories (Atomic.exchange
+   linearizes, a torn exchange is caught) are checked in test_runtime
+   through Runtime.record_cell. *)
 
-let real_exchange = Atomic.exchange
+module H = Linearize.Obj_history
+module V = Shmem.Value
 
-(* a deliberately broken exchange: read, linger, write — loses updates *)
-let torn_exchange cell v =
-  let old = Atomic.get cell in
-  for _ = 1 to 500 do
-    Domain.cpu_relax ()
-  done;
-  Atomic.set cell v;
-  old
+let kind = Shmem.Obj_kind.Readable_swap Shmem.Obj_kind.Unbounded
+
+let ev thread action response start finish =
+  { H.thread; action; response = V.Int response; start; finish }
+
+let swap v = Shmem.Op.Swap (V.Int v)
+let read = Shmem.Op.Read
+let linearizable h = H.linearizable ~kind ~init:(V.Int 0) h
 
 let test_sequential_history () =
   (* a hand-built sequential history: Swap(5)->0, Read->5, Swap(7)->5 *)
   let h =
-    [ { Linearize.thread = 0; op = Linearize.Swap 5; result = 0; start = 0; finish = 1 }
-    ; { Linearize.thread = 0; op = Linearize.Read; result = 5; start = 2; finish = 3 }
-    ; { Linearize.thread = 1; op = Linearize.Swap 7; result = 5; start = 4; finish = 5 }
-    ]
+    [ ev 0 (swap 5) 0 0 1; ev 0 read 5 2 3; ev 1 (swap 7) 5 4 5 ]
   in
-  Alcotest.(check bool) "legal sequential history" true
-    (Linearize.linearizable ~init:0 h)
+  Alcotest.(check bool) "legal sequential history" true (linearizable h)
 
 let test_illegal_sequential_history () =
   (* the read of a value nobody wrote cannot linearize *)
-  let h =
-    [ { Linearize.thread = 0; op = Linearize.Swap 5; result = 0; start = 0; finish = 1 }
-    ; { Linearize.thread = 0; op = Linearize.Read; result = 9; start = 2; finish = 3 }
-    ]
-  in
-  Alcotest.(check bool) "illegal history rejected" false
-    (Linearize.linearizable ~init:0 h)
+  let h = [ ev 0 (swap 5) 0 0 1; ev 0 read 9 2 3 ] in
+  Alcotest.(check bool) "illegal history rejected" false (linearizable h)
 
 let test_concurrent_overlap_allowed () =
   (* two overlapping swaps: either order works as long as results chain *)
-  let h =
-    [ { Linearize.thread = 0; op = Linearize.Swap 1; result = 0; start = 0; finish = 5 }
-    ; { Linearize.thread = 1; op = Linearize.Swap 2; result = 1; start = 1; finish = 4 }
-    ]
-  in
-  Alcotest.(check bool) "chained results linearize" true
-    (Linearize.linearizable ~init:0 h)
+  let h = [ ev 0 (swap 1) 0 0 5; ev 1 (swap 2) 1 1 4 ] in
+  Alcotest.(check bool) "chained results linearize" true (linearizable h)
 
 let test_lost_update_rejected () =
   (* two overlapping swaps both returning the initial value: in any order
      the second must return the first's value — not linearizable *)
-  let h =
-    [ { Linearize.thread = 0; op = Linearize.Swap 1; result = 0; start = 0; finish = 5 }
-    ; { Linearize.thread = 1; op = Linearize.Swap 2; result = 0; start = 1; finish = 4 }
-    ]
-  in
-  Alcotest.(check bool) "lost update rejected" false
-    (Linearize.linearizable ~init:0 h)
-
-let test_real_atomic_exchange_linearizable () =
-  for seed = 0 to 9 do
-    let h =
-      Linearize.record ~threads:3 ~ops_per_thread:5 ~seed
-        ~exchange:real_exchange ()
-    in
-    match Linearize.explain ~init:0 h with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail (Fmt.str "seed %d: %s" seed e)
-  done
-
-let test_torn_exchange_caught () =
-  (* under contention the torn exchange produces non-linearizable
-     histories; at least one of many trials must be caught (each trial is
-     racy, so we try many) *)
-  let caught = ref false in
-  let seed = ref 0 in
-  while (not !caught) && !seed < 200 do
-    let h =
-      Linearize.record ~threads:4 ~ops_per_thread:6 ~seed:!seed
-        ~exchange:torn_exchange ()
-    in
-    if not (Linearize.linearizable ~init:0 h) then caught := true;
-    incr seed
-  done;
-  Alcotest.(check bool) "torn exchange caught within 200 trials" true !caught
-
-let test_explain_returns_witness () =
-  let h =
-    Linearize.record ~threads:2 ~ops_per_thread:4 ~exchange:real_exchange ()
-  in
-  match Linearize.explain ~init:0 h with
-  | Ok order ->
-    Alcotest.(check int) "witness covers all events" (List.length h)
-      (List.length order)
-  | Error e -> Alcotest.fail e
+  let h = [ ev 0 (swap 1) 0 0 5; ev 1 (swap 2) 0 1 4 ] in
+  Alcotest.(check bool) "lost update rejected" false (linearizable h)
 
 let () =
   Alcotest.run "linearize"
@@ -102,13 +49,5 @@ let () =
             test_concurrent_overlap_allowed
         ; Alcotest.test_case "lost update rejected" `Quick
             test_lost_update_rejected
-        ] )
-    ; ( "real-hardware",
-        [ Alcotest.test_case "Atomic.exchange linearizable" `Quick
-            test_real_atomic_exchange_linearizable
-        ; Alcotest.test_case "torn exchange caught" `Quick
-            test_torn_exchange_caught
-        ; Alcotest.test_case "explain returns witness" `Quick
-            test_explain_returns_witness
         ] )
     ]

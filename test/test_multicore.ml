@@ -1,12 +1,23 @@
-(* Tests for the real-shared-memory backend: Algorithm 1 over
-   Atomic.exchange on OCaml 5 domains. *)
+(* Tests for the real-shared-memory backends: the hand-written Algorithm 1
+   ([Multicore.Swap_ksa_mc]) over Atomic.exchange on OCaml 5 domains, and
+   the generic runtime ([Runtime.Make]) over the two-process swap protocol
+   and readable-swap consensus. *)
 
 let test_two_proc () =
+  let (module P) = Core.Two_proc_swap.make ~m:3 in
+  let module R = Runtime.Make (P) in
   for seed = 0 to 19 do
     let input0 = seed mod 3 and input1 = (seed + 1) mod 3 in
-    let d0, d1 = Multicore.Two_proc_mc.run ~input0 ~input1 in
+    let inputs = [| input0; input1 |] in
+    let o = R.run ~inputs ~seed () in
+    (match R.check ~inputs o with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Fmt.str "seed=%d: %s" seed e));
+    let d0 = o.R.decisions.(0) and d1 = o.R.decisions.(1) in
     Alcotest.(check int) "agreement" d0 d1;
-    Alcotest.(check bool) "validity" true (d0 = input0 || d0 = input1)
+    Alcotest.(check bool) "validity" true (d0 = input0 || d0 = input1);
+    (* wait-free: one swap each *)
+    Alcotest.(check (array int)) "one swap each" [| 1; 1 |] o.R.ops
   done
 
 let run_and_check ~n ~k ~m ~seed =
@@ -38,26 +49,32 @@ let test_readable_swap_mc () =
     let n = 2 + Random.State.int rng 5 in
     let m = 2 + Random.State.int rng 3 in
     let inputs = Array.init n (fun _ -> Random.State.int rng m) in
-    let o = Multicore.Readable_swap_mc.run ~n ~m ~inputs ~seed () in
-    match Multicore.Readable_swap_mc.check ~inputs o with
+    let (module P) = Baselines.Readable_swap_consensus.make ~n ~m in
+    let module R = Runtime.Make (P) in
+    match R.check ~inputs (R.run ~inputs ~seed ()) with
     | Ok () -> ()
     | Error e -> Alcotest.fail (Fmt.str "n=%d m=%d seed=%d: %s" n m seed e)
   done
 
 let test_readable_swap_mc_validation () =
   (try
-     ignore (Multicore.Readable_swap_mc.run ~n:1 ~m:2 ~inputs:[| 0 |] ());
+     ignore (Baselines.Readable_swap_consensus.make ~n:1 ~m:2);
      Alcotest.fail "accepted n = 1"
    with Invalid_argument _ -> ());
+  let (module P) = Baselines.Readable_swap_consensus.make ~n:2 ~m:2 in
+  let module R = Runtime.Make (P) in
   let bad =
-    { Multicore.Readable_swap_mc.decisions = [| 0; 1 |]
-    ; passes = [| 1; 1 |]
-    ; reads = [| 1; 1 |]
-    ; swaps = [| 1; 1 |]
+    { R.decisions = [| 0; 1 |]
+    ; statuses = [| R.Decided; R.Decided |]
+    ; ops = [| 1; 1 |]
+    ; backoffs = [| 0; 0 |]
     ; elapsed = 0.
+    ; histories = [||]
+    ; finals = [| None; None |]
+    ; mem = [||]
     }
   in
-  match Multicore.Readable_swap_mc.check ~inputs:[| 0; 1 |] bad with
+  match R.check ~inputs:[| 0; 1 |] bad with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "accepted disagreement"
 
