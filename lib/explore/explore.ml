@@ -54,22 +54,36 @@ module Make (P : Shmem.Protocol.S) = struct
     lock : Mutex.t;
   }
 
-  (* The solo oracle's key: only [pid]'s state and the memory can influence
-     a solo execution of [pid], so verdicts are shared between all
-     configurations agreeing on that restriction.  The restricted hash is
-     computed once per query (memory part + one state) and stored in the
-     key. *)
-  module Solo_key = struct
-    type t = { h : int; pid : int; c : E.config }
+  (* The unreduced solo oracle is a two-level memo, memory first: only
+     [pid]'s state and the memory can influence a solo execution of [pid],
+     and every undecided pid of one visited configuration is asked about
+     the same memory.  [Mem_tbl] maps a memory, hashed and compared once per
+     visit, to that memory's own small table of (pid, state) verdicts, so
+     the equivalence classes are exactly the (pid, state, memory)
+     restrictions while each further pid costs one state hash and one state
+     comparison. *)
+  module Mem_key = struct
+    type t = { h : int; mem : Shmem.Value.t array }
+
+    let equal a b = a.h = b.h && Array.for_all2 Shmem.Value.equal a.mem b.mem
+    let hash k = k.h
+  end
+
+  module Mem_tbl = Hashtbl.Make (Mem_key)
+
+  module Pid_key = struct
+    type t = { h : int; pid : int; st : P.state }
 
     let equal a b =
-      a.h = b.h && Int.equal a.pid b.pid
-      && E.equal_restricted ~pids:[ a.pid ] a.c b.c
+      a.h = b.h && Int.equal a.pid b.pid && P.equal_state a.st b.st
 
     let hash k = k.h
   end
 
-  module Solo_tbl = Hashtbl.Make (Solo_key)
+  module Pid_tbl = Hashtbl.Make (Pid_key)
+
+  (* one memory's verdicts, guarded by the lock of the shard holding it *)
+  type mem_node = { verdicts : int option Pid_tbl.t; node_lock : Mutex.t }
 
   (* The canonical solo key used under symmetry reduction: the restriction
      is renamed by the injective map (own pid ↦ 0, memory first-mentions
@@ -88,18 +102,42 @@ module Make (P : Shmem.Protocol.S) = struct
 
   module Solo_ctbl = Hashtbl.Make (Solo_ckey)
 
-  let mem_hash (c : E.config) =
+  let mem_hash mem =
     let h = ref 19 in
-    Array.iter (fun v -> h := (!h * 31) + Shmem.Value.hash v) c.E.mem;
+    Array.iter (fun v -> h := (!h * 31) + Shmem.Value.hash v) mem;
     !h land max_int
 
   type solo_shard = {
-    verdicts : int option Solo_tbl.t;
+    memories : mem_node Mem_tbl.t;
     cverdicts : int option Solo_ctbl.t;
     solo_lock : Mutex.t;
   }
 
+  (* The memory memo: the last memory this domain looked up, by physical
+     identity, with its node.  Stored configurations are immutable and the
+     solo properties of one visit share the snapshot's arrays, so the n
+     queries of a visit find the node here after the first.  Domain-local
+     (parallel workers never share it) and stamped with the owning
+     exploration's [uid] (two explorations on one domain never share a
+     node).  Holding [mem] keeps the array alive, so its address cannot be
+     reused by another memory while it is remembered. *)
+  type memo = {
+    mutable owner : int;
+    mutable mem : Shmem.Value.t array;
+    mutable node : mem_node;
+  }
+
+  let memo_key =
+    Domain.DLS.new_key (fun () ->
+        { owner = -1
+        ; mem = [||]
+        ; node = { verdicts = Pid_tbl.create 1; node_lock = Mutex.create () }
+        })
+
+  let next_uid = Atomic.make 0
+
   type t = {
+    uid : int;  (* identifies this exploration to the memory memo *)
     shards : shard array;
     nshards : int;
     total : int Atomic.t;  (* interned configurations across all shards *)
@@ -276,7 +314,8 @@ module Make (P : Shmem.Protocol.S) = struct
           Some (canon_key, rename)
     in
     let t =
-      { shards =
+      { uid = Atomic.fetch_and_add next_uid 1
+      ; shards =
           Array.init nshards (fun _ ->
               { index = Cfg_tbl.create 1024
               ; entries = Array.make 64 dummy
@@ -287,7 +326,7 @@ module Make (P : Shmem.Protocol.S) = struct
       ; total = Atomic.make 0
       ; solo =
           Array.init nshards (fun _ ->
-              { verdicts = Solo_tbl.create 1024
+              { memories = Mem_tbl.create 1024
               ; cverdicts = Solo_ctbl.create 1024
               ; solo_lock = Mutex.create ()
               })
@@ -371,6 +410,33 @@ module Make (P : Shmem.Protocol.S) = struct
     in
     steps @ [ step' ]
 
+  (* [mem]'s node in [t]'s oracle, found or created: through the memory
+     memo when [mem] is the array this domain looked up last, otherwise
+     hashed and compared once in its shard's table *)
+  let mem_node t mem =
+    let m = Domain.DLS.get memo_key in
+    if m.owner = t.uid && m.mem == mem then m.node
+    else begin
+      let h = mem_hash mem in
+      let s = t.solo.(h mod t.nshards) in
+      let key = { Mem_key.h; mem } in
+      let node =
+        locked s.solo_lock (fun () ->
+            match Mem_tbl.find_opt s.memories key with
+            | Some node -> node
+            | None ->
+              let node =
+                { verdicts = Pid_tbl.create 8; node_lock = s.solo_lock }
+              in
+              Mem_tbl.replace s.memories key node;
+              node)
+      in
+      m.owner <- t.uid;
+      m.mem <- mem;
+      m.node <- node;
+      node
+    end
+
   let solo_steps t ~pid c =
     let run_verdict () =
       (* computed outside the lock: a racing duplicate computation is
@@ -381,13 +447,13 @@ module Make (P : Shmem.Protocol.S) = struct
     in
     match t.symfns with
     | None ->
-      let rk =
-        ((mem_hash c * 31) + P.hash_state c.E.states.(pid)) land max_int
+      let node = mem_node t c.E.mem in
+      let st = c.E.states.(pid) in
+      let key =
+        { Pid_key.h = ((P.hash_state st * 31) + pid) land max_int; pid; st }
       in
-      let s = t.solo.((rk + pid) mod t.nshards) in
-      let key = { Solo_key.h = ((rk * 31) + pid) land max_int; pid; c } in
       (match
-         locked s.solo_lock (fun () -> Solo_tbl.find_opt s.verdicts key)
+         locked node.node_lock (fun () -> Pid_tbl.find_opt node.verdicts key)
        with
       | Some verdict ->
         Obs.Counter.incr m_solo_hits;
@@ -395,7 +461,8 @@ module Make (P : Shmem.Protocol.S) = struct
       | None ->
         Obs.Counter.incr m_solo_misses;
         let verdict = run_verdict () in
-        locked s.solo_lock (fun () -> Solo_tbl.replace s.verdicts key verdict);
+        locked node.node_lock (fun () ->
+            Pid_tbl.replace node.verdicts key verdict);
         verdict)
     | Some (_, rename_state) ->
       (* a solo execution reads only ([pid]'s state, memory); for an

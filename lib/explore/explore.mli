@@ -25,10 +25,14 @@
       configuration and the visitor's {!Make.verdict} steers pruning and
       early exit.
     - {b Memoized solo oracle}: {!Make.solo_ok} caches solo-termination
-      verdicts keyed by the deciding process's state plus the shared memory
-      ({!Exec.Make.restricted_key}), the only inputs a solo execution can
-      read.  Under symmetry reduction the key is itself canonicalized, so
-      one verdict serves the whole orbit of the restriction.
+      verdicts per (pid, pid's state, memory) restriction, the only inputs a
+      solo execution can read.  The unreduced memo is keyed memory first:
+      a memory is hashed and compared once per visited configuration (a
+      domain-local memo recognises the same physical memory array across
+      the pids of one visit), then each pid costs one state lookup in that
+      memory's small table.  Under symmetry reduction the key is itself
+      canonicalized, so one verdict serves the whole orbit of the
+      restriction.
     - {b Parallel mode}: {!Make.bfs_parallel} runs a level-synchronized BFS
       over [Domain.spawn] workers; the store and oracle are sharded with
       per-shard mutexes so workers intern concurrently. *)
@@ -119,9 +123,12 @@ module Make (P : Shmem.Protocol.S) : sig
 
   val solo_ok : t -> pid:int -> E.config -> bool
   (** whether [pid] decides within [solo_cap t] solo steps from the given
-      configuration.  Memoized on [(pid's state, memory)] — sound because a
-      solo execution of [pid] reads nothing else.  Under symmetry reduction
-      the memo key is canonicalized (own pid first, then memory
+      configuration.  Memoized on [(pid, pid's state, memory)] — sound
+      because a solo execution of [pid] reads nothing else.  Unreduced, the
+      memo is two-level, memory then (pid, state); the memory array is kept
+      as a table key, so it must never be mutated after the query (pass
+      stored configurations or {!Exec.Make.view}s of them).  Under symmetry
+      reduction the memo key is canonicalized (own pid first, then memory
       first-mentions, then the rest), sharing verdicts across the orbit. *)
 
   val solo_steps : t -> pid:int -> E.config -> int option

@@ -43,8 +43,10 @@ module Make (P : Shmem.Protocol.S) : sig
   type snap = { states : P.state array; mem : Shmem.Value.t array }
   (** an engine-independent configuration snapshot: one state per process
       (index = pid), one value per object.  Construct from any engine's
-      config by reusing its arrays (snapshots are read-only by convention),
-      re-enter into an engine with [Exec.Make(P).unsafe_config]. *)
+      config by reusing its arrays (snapshots are read-only by convention).
+      Re-enter into the engine the arrays came from with the non-copying
+      [Exec.Make(P).view] (the checker consults its solo oracle this way),
+      into any other engine with the copying [Exec.Make(P).unsafe_config]. *)
 
   val decided_values : snap -> int list
   (** distinct values decided in the snapshot, ascending *)

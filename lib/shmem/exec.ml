@@ -15,17 +15,22 @@ module Make (P : Protocol.S) = struct
     ; mem = Array.init (Array.length P.objects) P.init_object
     }
 
-  let unsafe_config ~states ~mem =
+  let view_as name ~states ~mem =
     if Array.length states <> P.n then
       invalid_arg
-        (Fmt.str "Exec.unsafe_config: %d states for %d processes"
+        (Fmt.str "Exec.%s: %d states for %d processes" name
            (Array.length states) P.n);
     if Array.length mem <> Array.length P.objects then
       invalid_arg
-        (Fmt.str "Exec.unsafe_config: %d values for %d objects"
+        (Fmt.str "Exec.%s: %d values for %d objects" name
            (Array.length mem)
            (Array.length P.objects));
-    { states = Array.copy states; mem = Array.copy mem }
+    { states; mem }
+
+  let view ~states ~mem = view_as "view" ~states ~mem
+
+  let unsafe_config ~states ~mem =
+    view_as "unsafe_config" ~states:(Array.copy states) ~mem:(Array.copy mem)
 
   let value c b = c.mem.(b)
   let decision c pid = P.decision c.states.(pid)

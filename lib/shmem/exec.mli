@@ -22,7 +22,18 @@ module Make (P : Protocol.S) : sig
       engine-independent snapshots (the property layer's [Prop.Make.snap],
       the monitor's [snapshot]) can be re-entered into {e any} [Exec.Make]
       instance, e.g. to measure a solo run from a snapshot taken by a
-      different engine.
+      different engine.  Snapshots of this engine's own configurations
+      re-enter without a copy through {!view}.
+      @raise Invalid_argument on length mismatch with [P.n] / [P.objects] *)
+
+  val view : states:P.state array -> mem:Value.t array -> config
+  (** a read-only configuration over the given arrays, {e without} copying
+      them: the non-copying twin of {!unsafe_config} for snapshots that
+      already belong to this engine, such as the property layer's view of a
+      stored configuration.  The caller guarantees that neither array is
+      mutated afterwards — the view, and anything memoized from it (the
+      explorer's solo oracle keeps the memory array as a table key), shares
+      them.
       @raise Invalid_argument on length mismatch with [P.n] / [P.objects] *)
 
   val value : config -> int -> Value.t

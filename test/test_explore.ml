@@ -167,29 +167,120 @@ let test_trace_to_replays () =
   Alcotest.(check bool) "sampled some ids" true (!checked > 5)
 
 let test_solo_oracle_consistent () =
-  (* memoized verdicts must agree with direct solo runs *)
+  (* memoized verdicts must agree with direct solo runs, on the unreduced
+     two-level memo and on the symmetry-reduced canonical key alike *)
   let (module P) = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2 in
   let module X = Explore.Make (P) in
   let inputs = [| 0; 1; 0 |] in
-  let t = X.create ~inputs () in
-  let sampled = ref 0 in
-  let visit (v : X.visit) =
-    if v.X.id mod 29 = 0 then
-      List.iter
-        (fun pid ->
-          incr sampled;
-          let direct =
-            X.E.run_solo ~pid ~max_steps:(X.solo_cap t) v.X.config <> None
-          in
-          Alcotest.(check bool)
-            (Fmt.str "oracle agrees with run_solo (id %d, p%d)" v.X.id pid)
-            direct
-            (X.solo_ok t ~pid v.X.config))
-        (X.E.undecided v.X.config);
-    if Util.lap_prune_pair 2 v.X.config.X.E.mem then X.Prune else X.Continue
+  List.iter
+    (fun sym ->
+      let t = X.create ~sym ~inputs () in
+      Alcotest.(check bool) "reduction as requested" sym (X.sym_enabled t);
+      let sampled = ref 0 in
+      let visit (v : X.visit) =
+        if v.X.id mod 29 = 0 then
+          List.iter
+            (fun pid ->
+              incr sampled;
+              let direct =
+                X.E.run_solo ~pid ~max_steps:(X.solo_cap t) v.X.config <> None
+              in
+              Alcotest.(check bool)
+                (Fmt.str "oracle agrees with run_solo (sym %b, id %d, p%d)" sym
+                   v.X.id pid)
+                direct
+                (X.solo_ok t ~pid v.X.config))
+            (X.E.undecided v.X.config);
+        if Util.lap_prune_pair 2 v.X.config.X.E.mem then X.Prune
+        else X.Continue
+      in
+      ignore (X.bfs t ~max_configs:5_000 ~visit ());
+      Alcotest.(check bool) "sampled some verdicts" true (!sampled > 10))
+    [ false; true ]
+
+let total_laps_over budget (mem : Shmem.Value.t array) =
+  Array.fold_left
+    (fun acc v ->
+      match v with
+      | Shmem.Value.Pair (Shmem.Value.Ints u, _) -> Array.fold_left ( + ) acc u
+      | _ -> acc)
+    0 mem
+  > budget
+
+(* [f ()] with observability on, paired with how far [c] advanced *)
+let counting c f =
+  let was = Obs.enabled () in
+  Obs.enable ();
+  let c0 = Obs.Counter.value c in
+  let r = Fun.protect ~finally:(fun () -> if not was then Obs.disable ()) f in
+  r, Obs.Counter.value c - c0
+
+let solo_misses = Obs.counter "explore.solo.cache_misses"
+
+let test_solo_oracle_key () =
+  (* Unreduced and serial, the oracle misses exactly once per distinct
+     (pid, state, memory) restriction it is asked about: a coarser key would
+     share verdicts unsoundly, a finer one would rerun solo executions.  The
+     restrictions are counted here with an independent table over
+     [P.equal_state] and [Value.equal]. *)
+  let (module P) = Core.Swap_ksa.make ~n:5 ~k:1 ~m:2 in
+  let module C = Checker.Make (P) in
+  let module Pr = Prop.Make (P) in
+  let inputs = [| 0; 1; 0; 1; 0 |] in
+  let prune (c : C.E.config) = total_laps_over 2 c.C.E.mem in
+  let run () =
+    let seen = Hashtbl.create 4096 in
+    let distinct = ref 0 in
+    (* the solo-termination properties ask about every undecided pid of
+       every visited configuration; this probe sees the same snapshots *)
+    let probe =
+      Pr.invariant ~name:"solo-query-probe" ~desc:"records solo queries"
+        (fun s ->
+          List.iter
+            (fun pid ->
+              let st = s.Pr.states.(pid) in
+              let h =
+                Hashtbl.hash
+                  (pid, P.hash_state st, Array.map Shmem.Value.hash s.Pr.mem)
+              in
+              let bucket = Option.value ~default:[] (Hashtbl.find_opt seen h) in
+              let same (p, st', mem') =
+                p = pid && P.equal_state st st'
+                && Array.for_all2 Shmem.Value.equal s.Pr.mem mem'
+              in
+              if not (List.exists same bucket) then begin
+                incr distinct;
+                Hashtbl.replace seen h ((pid, st, s.Pr.mem) :: bucket)
+              end)
+            (Pr.undecided s);
+          None)
+    in
+    let r, misses =
+      counting solo_misses (fun () ->
+          C.explore ~prune ~extra_props:(fun _ -> [ probe ]) ~inputs ())
+    in
+    Util.check_ok "swap-ksa n=5 unreduced" r;
+    Alcotest.(check bool) "queried some restrictions" true (!distinct > 1000);
+    Alcotest.(check int) "one miss per distinct restriction" !distinct misses;
+    misses
   in
-  ignore (X.bfs t ~max_configs:5_000 ~visit ());
-  Alcotest.(check bool) "sampled some verdicts" true (!sampled > 10)
+  (* a second exploration on this domain starts from an empty oracle: the
+     memory memo of the first must not leak into it *)
+  let first = run () in
+  Alcotest.(check int) "a second exploration misses as often" first (run ());
+  (* two live explorations interleaved on one domain, queried with the same
+     physical configuration, each miss in their own table *)
+  let module X = C.X in
+  let t1 = X.create ~inputs () and t2 = X.create ~inputs () in
+  let c = X.config t1 (X.root t1) in
+  let _, misses =
+    counting solo_misses (fun () ->
+        List.iter
+          (fun t -> ignore (X.solo_ok t ~pid:0 c : bool))
+          [ t1; t2; t1; t2 ])
+  in
+  Alcotest.(check int) "interleaved explorations keep their own memos" 2
+    misses
 
 let test_walk_interns_path () =
   let (module P) = Core.Swap_ksa.make ~n:2 ~k:1 ~m:2 in
@@ -260,6 +351,18 @@ let test_parallel_swap_ksa_safe () =
   Alcotest.(check int) "same configs explored"
     serial.Checker.configs_explored par.Checker.configs_explored
 
+let test_parallel_swap_ksa_unreduced () =
+  (* shards > 1: each worker domain keeps its own memory memo over the
+     shared, sharded oracle, and the verdicts match the serial run's *)
+  let (module P) = Core.Swap_ksa.make ~n:5 ~k:1 ~m:2 in
+  let module C = Checker.Make (P) in
+  let inputs = [| 0; 1; 0; 1; 0 |] in
+  let prune (c : C.E.config) = total_laps_over 2 c.C.E.mem in
+  let serial = C.explore ~prune ~inputs () in
+  let par = C.explore_parallel ~domains:2 ~prune ~inputs () in
+  Util.check_ok "serial swap-ksa n=5" serial;
+  Alcotest.(check report) "parallel report equals serial" serial par
+
 let () =
   Alcotest.run "explore"
     [ ( "checker-differential",
@@ -282,6 +385,8 @@ let () =
         ; Alcotest.test_case "trace_to replays" `Quick test_trace_to_replays
         ; Alcotest.test_case "solo oracle consistent" `Quick
             test_solo_oracle_consistent
+        ; Alcotest.test_case "solo oracle key is the restriction" `Quick
+            test_solo_oracle_key
         ; Alcotest.test_case "walk interns its path" `Quick
             test_walk_interns_path
         ] )
@@ -292,5 +397,7 @@ let () =
             test_parallel_finds_violations
         ; Alcotest.test_case "pruned swap-ksa safe" `Quick
             test_parallel_swap_ksa_safe
+        ; Alcotest.test_case "unreduced swap-ksa n=5 matches serial" `Quick
+            test_parallel_swap_ksa_unreduced
         ] )
     ]

@@ -471,14 +471,34 @@ let test_mutant_solo_bound () =
   (match Pr.eval_config (M.prop_solo_bound ()) s0 with
   | Some _ -> ()
   | None -> Alcotest.fail "solo-bound accepted a spinner");
-  (* the checker's built-in solo-termination hook agrees *)
+  (* the checker's built-in solo-termination hook agrees, serially and on
+     two domains (each worker with its own memory memo over the oracle) *)
   let module C = Checker.Make (P) in
-  let r = C.explore ~max_configs:500 ~inputs:[| 0; 1 |] () in
-  Alcotest.(check bool) "checker rejects the spinner" false (Checker.ok r);
-  Alcotest.(check bool) "as a solo-termination violation" true
-    (List.exists
-       (fun (v : Checker.violation) -> v.Checker.property = "solo-termination")
-       r.Checker.violations)
+  let serial = C.explore ~max_configs:500 ~inputs:[| 0; 1 |] () in
+  let par =
+    C.explore_parallel ~domains:2 ~max_configs:500 ~inputs:[| 0; 1 |] ()
+  in
+  let caught what (r : Checker.report) =
+    Alcotest.(check (list string))
+      (what ^ ": caught by solo-termination only")
+      [ "solo-termination" ]
+      (List.sort_uniq String.compare
+         (List.map (fun (v : Checker.violation) -> v.Checker.property)
+            r.Checker.violations))
+  in
+  caught "serial" serial;
+  caught "parallel" par;
+  let sorted (r : Checker.report) =
+    List.sort Stdlib.compare
+      (List.map
+         (fun (v : Checker.violation) ->
+           v.Checker.detail, Shmem.Trace.length v.Checker.trace)
+         r.Checker.violations)
+  in
+  Alcotest.(check int) "same configs explored" serial.Checker.configs_explored
+    par.Checker.configs_explored;
+  Alcotest.(check bool) "same violations serially and in parallel" true
+    (sorted serial = sorted par)
 
 (* the unsafe ablation (decision lead 1) is a ready-made mutant for the
    checker path: exploring with the §4 properties attached must surface
