@@ -583,15 +583,7 @@ let t8 () =
   let verdict protocol =
     let (module P : Shmem.Protocol.S) = protocol in
     let module C = Checker.Make (P) in
-    let prune (c : C.E.config) =
-      Array.exists
-        (fun v ->
-          match v with
-          | Shmem.Value.Pair (Shmem.Value.Ints u, _) ->
-            Array.exists (fun x -> x > 4) u
-          | _ -> false)
-        c.C.E.mem
-    in
+    let prune (c : C.E.config) = Baselines.Registry.lap_prune 4 c.C.E.mem in
     let r = C.explore_all_inputs ~prune ~max_configs:300_000 () in
     if Checker.ok r then "safe (checked)"
     else
@@ -645,8 +637,8 @@ let t8 () =
    Queue of whole configurations, and — the dominant cost — solo-termination
    checks that re-run [run_solo] from scratch for every undecided process of
    every visited configuration.  lib/explore replaces this with an interned
-   configuration store and a memoized solo oracle, and optionally shards the
-   frontier across domains; T9 quantifies the gain on identical state
+   configuration store and a memoized solo oracle, and can split each BFS
+   level across domains; T9 quantifies the gain on identical state
    spaces. *)
 let t9 () =
   section_header "t9"
@@ -659,19 +651,11 @@ let t9 () =
         let module S = Seed_ref.Checker_ref (P) in
         let module C = Checker.Make (P) in
         (* bound the total lap progress so the reachable space is finite
-           (and the budget is never hit — truncation order would differ
-           between FIFO and level-parallel BFS); the same predicate goes to
-           all three engines *)
+           (and the budget is never hit — a budget-truncated run on four
+           domains may stop at a slightly different count than on one); the
+           same predicate goes to all three runs *)
         let prune (c : C.E.config) =
-          let total = ref 0 in
-          Array.iter
-            (fun v ->
-              match v with
-              | Shmem.Value.Pair (Shmem.Value.Ints u, _) ->
-                Array.iter (fun x -> total := !total + x) u
-              | _ -> ())
-            c.C.E.mem;
-          !total > lap
+          Baselines.Registry.total_lap_prune lap c.C.E.mem
         in
         let inputs = Array.init n (fun i -> i mod m) in
         let seed_r, seed_t =
@@ -683,7 +667,7 @@ let t9 () =
         in
         let par_r, par_t =
           time (fun () ->
-              C.explore_parallel ~domains:4 ~max_configs ~prune ~inputs ())
+              C.explore ~domains:4 ~max_configs ~prune ~inputs ())
         in
         (* all three engines must have visited the same state space *)
         assert (seed_cfgs = serial_r.Checker.configs_explored);
@@ -851,15 +835,7 @@ let t12 () =
         let (module P) = Core.Swap_ksa.make ~n ~k:1 ~m:2 in
         let module C = Checker.Make (P) in
         let prune (c : C.E.config) =
-          let total = ref 0 in
-          Array.iter
-            (fun v ->
-              match v with
-              | Shmem.Value.Pair (Shmem.Value.Ints u, _) ->
-                Array.iter (fun x -> total := !total + x) u
-              | _ -> ())
-            c.C.E.mem;
-          !total > lap
+          Baselines.Registry.total_lap_prune lap c.C.E.mem
         in
         let inputs = Array.init n (fun i -> i mod 2) in
         let red, red_t =
@@ -965,15 +941,7 @@ let t13 () =
         let module M = Core.Swap_ksa_monitor.Make (P) in
         let module C = Checker.Make (P) in
         let prune (c : C.E.config) =
-          let total = ref 0 in
-          Array.iter
-            (fun v ->
-              match v with
-              | Shmem.Value.Pair (Shmem.Value.Ints u, _) ->
-                Array.iter (fun x -> total := !total + x) u
-              | _ -> ())
-            c.C.E.mem;
-          !total > lap
+          Baselines.Registry.total_lap_prune lap c.C.E.mem
         in
         let inputs = Array.init n (fun i -> i mod 2) in
         let bare () =

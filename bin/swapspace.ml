@@ -317,29 +317,11 @@ let check_cmd =
       in
       let extra_props _ = extra in
       let prune (c : C.E.config) =
-        let cell_over =
-          Array.exists
-            (fun v ->
-              match v with
-              | Shmem.Value.Pair (Shmem.Value.Ints u, _) ->
-                Array.exists (fun x -> x > lap_cap) u
-              | _ -> false)
-            c.C.E.mem
-        in
-        cell_over
+        Baselines.Registry.lap_prune lap_cap c.C.E.mem
         ||
         match total_lap with
         | None -> false
-        | Some budget ->
-          let total = ref 0 in
-          Array.iter
-            (fun v ->
-              match v with
-              | Shmem.Value.Pair (Shmem.Value.Ints u, _) ->
-                Array.iter (fun x -> total := !total + x) u
-              | _ -> ())
-            c.C.E.mem;
-          !total > budget
+        | Some budget -> Baselines.Registry.total_lap_prune budget c.C.E.mem
       in
       let report =
         with_metrics ~metrics ~out:metrics_out (fun () ->
@@ -350,13 +332,9 @@ let check_cmd =
                     ()
                 else
                   let inputs = parse_inputs ~n:P.n ~m:P.num_inputs inputs in
-                  if domains > 1 then
-                    C.explore_parallel ~domains ~prune ~max_configs
-                      ~check_solo:(not no_solo) ~sym ~por ~extra_props
-                      ?select ~inputs ()
-                  else
-                    C.explore ~prune ~max_configs ~check_solo:(not no_solo)
-                      ~sym ~por ~extra_props ?select ~inputs ()))
+                  C.explore ~domains ~prune ~max_configs
+                    ~check_solo:(not no_solo) ~sym ~por ~extra_props ?select
+                    ~inputs ()))
       in
       Fmt.pr "%s: %a@." P.name Checker.pp_report report;
       if not (Checker.ok report) then exit 1
@@ -653,10 +631,9 @@ module Chaos_sim (P : Shmem.Protocol.S) = struct
               (Shmem.Schedule.to_string s)))
       f.F.schedule
 
-  let go ?on_step ?props ?inputs ~burst ~max_steps ~seed ~runs ~kinds () =
+  let go ?props ?inputs ~burst ~max_steps ~seed ~runs ~kinds () =
     let s =
-      F.campaign ?on_step ?props ?inputs ~burst ~max_steps ~seed ~runs ~kinds
-        ()
+      F.campaign ?props ?inputs ~burst ~max_steps ~seed ~runs ~kinds ()
     in
     { header =
         Fmt.str "chaos (sim) %s: %d runs, seed %d, kinds [%a]" P.name runs

@@ -12,15 +12,7 @@ let () =
   let (module P) = Core.Swap_ksa.make_ablation ~n:3 ~k:1 ~m:2 ~lead:1 () in
   let module C = Checker.Make (P) in
   let inputs = [| 0; 1; 1 |] in
-  let prune (c : C.E.config) =
-    Array.exists
-      (fun v ->
-        match v with
-        | Shmem.Value.Pair (Shmem.Value.Ints u, _) ->
-          Array.exists (fun x -> x > 3) u
-        | _ -> false)
-      c.C.E.mem
-  in
+  let prune (c : C.E.config) = Baselines.Registry.lap_prune 3 c.C.E.mem in
   let report = C.explore ~prune ~inputs () in
   match
     List.find_opt

@@ -134,6 +134,24 @@ module Acc = struct
             else t.details))
 end
 
+(* op-conformance: [pid]'s poised [op] names an object in range and an
+   action legal for that object's kind (including the domain check on
+   stored values); a violation is added to [acc] and answers [false] *)
+let check_op acc objects ~pid (op : Sh.Op.t) =
+  let o = op.Sh.Op.obj in
+  if o < 0 || o >= Array.length objects then begin
+    Acc.add acc
+      (Fmt.str "p%d poised on out-of-range object: %a" pid Sh.Op.pp op);
+    false
+  end
+  else if not (Sh.Obj_kind.supports objects.(o) op.Sh.Op.action) then begin
+    Acc.add acc
+      (Fmt.str "p%d poised to apply %a, but B%d is a %a" pid Sh.Op.pp op o
+         Sh.Obj_kind.pp objects.(o));
+    false
+  end
+  else true
+
 (* ------------------------------------------------------- static analysis *)
 
 let m_runs = Obs.counter "analyze.runs"
@@ -199,7 +217,6 @@ module Make (P : Sh.Protocol.S) = struct
     let det_probes = ref 0 in
     let pool = ref [] in
     let pool_len = ref 0 in
-    let num_objects = Array.length P.objects in
     let t = X.create ~solo_cap ~sym ~por ~inputs () in
     let nonconforming = ref false in
     let visit (v : X.visit) =
@@ -220,26 +237,7 @@ module Make (P : Sh.Protocol.S) = struct
       List.iter
         (fun pid ->
           let op = E.poised c pid in
-          (* op-conformance: object in range, action legal for the kind
-             (including the domain check on stored values) *)
-          let legal =
-            if op.Sh.Op.obj < 0 || op.Sh.Op.obj >= num_objects then begin
-              Acc.add conformance
-                (Fmt.str "p%d poised on out-of-range object: %a" pid
-                   Sh.Op.pp op);
-              false
-            end
-            else begin
-              let kind = P.objects.(op.Sh.Op.obj) in
-              if not (Sh.Obj_kind.supports kind op.Sh.Op.action) then begin
-                Acc.add conformance
-                  (Fmt.str "p%d poised to apply %a, but B%d is a %a" pid
-                     Sh.Op.pp op op.Sh.Op.obj Sh.Obj_kind.pp kind);
-                false
-              end
-              else true
-            end
-          in
+          let legal = check_op conformance P.objects ~pid op in
           if not legal then config_conforms := false;
           if not (Sh.Op.is_historyless op) then saw_cas := true;
           if not (Sh.Op.is_swap_action op.Sh.Op.action) then
@@ -777,27 +775,10 @@ module Space = struct
         List.iter
           (fun pid ->
             let op = E.poised c pid in
-            if op.Sh.Op.obj < 0 || op.Sh.Op.obj >= num_objects then begin
-              Acc.add conformance
-                (Fmt.str "p%d poised on out-of-range object: %a" pid
-                   Sh.Op.pp op);
-              conforms := false
-            end
-            else begin
-              if
-                not
-                  (Sh.Obj_kind.supports
-                     P.objects.(op.Sh.Op.obj)
-                     op.Sh.Op.action)
-              then begin
-                Acc.add conformance
-                  (Fmt.str "p%d poised to apply %a, but B%d is a %a" pid
-                     Sh.Op.pp op op.Sh.Op.obj Sh.Obj_kind.pp
-                     P.objects.(op.Sh.Op.obj));
-                conforms := false
-              end;
-              Bits.set touched op.Sh.Op.obj
-            end)
+            if not (check_op conformance P.objects ~pid op) then
+              conforms := false;
+            if op.Sh.Op.obj >= 0 && op.Sh.Op.obj < num_objects then
+              Bits.set touched op.Sh.Op.obj)
           (E.undecided c);
         if not !conforms then begin
           nonconforming := true;

@@ -110,10 +110,14 @@ module Make (P : Sh.Protocol.S) = struct
       | None -> fun ~client ~served -> default_input ~seed ~client ~served
     in
     (* a chaos kill is healed, not a persistent worker fault: the slot
-       breaker must outlast every planned kill, so the default budget
-       scales with the round target *)
+       breaker must outlast every planned kill.  At most [target + arenas]
+       rounds are ever driven (a round holds its arena until it decides),
+       and [Fault.service_kill_plan] kills each at most twice (its default
+       [max_incarnations]); with one worker every kill lands on one slot *)
     let max_respawns =
-      match max_respawns with Some r -> r | None -> target + (4 * workers)
+      match max_respawns with
+      | Some r -> r
+      | None -> (2 * (target + arenas_n)) + (4 * workers)
     in
     (* -------------------- shared state -------------------- *)
     let pool = Array.init arenas_n (fun _ -> R.make_arena ()) in

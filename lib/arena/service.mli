@@ -111,8 +111,10 @@ module Make (P : Shmem.Protocol.S) : sig
       rounds; [think]/[input] override the seeded defaults (inputs are
       taken [mod P.num_inputs] by the default only — custom functions
       must stay in range); [kill] enables the chaos overlay;
-      [max_respawns] (default [rounds + 4 * workers] — a healed kill is
-      not a persistent fault) is the per-worker-slot breaker budget;
+      [max_respawns] (default [2 * (rounds + arenas) + 4 * workers],
+      enough for a kill plan that kills each round at most twice — a
+      healed kill is not a persistent fault) is the per-worker-slot
+      breaker budget;
       [paranoid] re-reads every cell after each reset and records any
       non-initial value as residue.
 

@@ -32,6 +32,15 @@ let lap_prune bound mem =
       | _ -> false)
     mem
 
+let total_lap_prune budget mem =
+  Array.fold_left
+    (fun acc v ->
+      match v with
+      | Shmem.Value.Pair (Shmem.Value.Ints u, _) -> Array.fold_left ( + ) acc u
+      | _ -> acc)
+    0 mem
+  > budget
+
 let no_prune _ = false
 
 let standard ?(n = 4) () =

@@ -37,6 +37,17 @@ type entry = {
           are always additionally in force. *)
 }
 
+val lap_prune : int -> Shmem.Value.t array -> bool
+(** [lap_prune bound mem]: some lap counter in a [Pair (Ints laps, _)] cell
+    of [mem] exceeds [bound] — the per-cell lap cap that makes the racing
+    algorithms' reachable space finite for exhaustive checking *)
+
+val total_lap_prune : int -> Shmem.Value.t array -> bool
+(** [total_lap_prune budget mem]: the lap counters of all [Pair (Ints laps,
+    _)] cells of [mem] sum to more than [budget] — a tighter bound on total
+    progress, for instances whose per-cell-capped space is still too
+    large *)
+
 val standard : ?n:int -> unit -> entry list
 (** the standard grid at [n] processes (default 4): Algorithm 1 for k=1 and
     k=2, the register / readable-swap / binary-track (plain, eager, TAS) /

@@ -64,19 +64,20 @@ module Make (P : Shmem.Protocol.S) = struct
       | Ok ps -> ps
       | Error msg -> Fmt.invalid_arg "Checker: %s" msg)
 
-  (* The generic "check these properties" driver shared by [explore] and
-     [explore_parallel]: invariants are evaluated at each visited
-     configuration (in property order — violation lists stay chronological
-     in discovery order); step relations and safety automata are driven by
-     the traversal's [on_step] observer over {e every} expanded edge, with
-     counterexample traces rebuilt by [trace_via].
+  (* The generic "check these properties" driver behind [explore]:
+     invariants are evaluated at each visited configuration (in property
+     order — violation lists stay chronological in discovery order); step
+     relations and safety automata are driven by the traversal's [on_step]
+     observer over {e every} expanded edge, with counterexample traces
+     rebuilt by [trace_via].
 
      Automaton markings are tracked per configuration id, seeded at the
      root and stored at each destination's first discovery — exact on the
      traversal tree, one-step checks on cross edges (an automaton property
      over a DAG is evaluated along the discovery tree plus each non-tree
-     edge once).  [record] and the marking table are mutex-protected by the
-     callers that run traversals concurrently. *)
+     edge once).  The marking table is mutex-protected, and so must
+     [record] be, because a multi-domain traversal calls both from several
+     domains. *)
   let prop_driver ~t ~props ~record =
     let cprops = List.filter Pr.has_config props in
     let sprops = List.filter Pr.has_step props in
@@ -166,28 +167,7 @@ module Make (P : Shmem.Protocol.S) = struct
     in
     check_visit, on_step
 
-  let explore ?(max_configs = 200_000) ?(solo_cap = X.default_solo_cap)
-      ?(check_solo = true) ?(prune = fun _ -> false) ?(sym = false)
-      ?(por = false) ?(extra_props = fun _ -> []) ?select ~inputs () =
-    let t = X.create ~solo_cap ~sym ~por ~inputs () in
-    let props =
-      apply_select ?select
-        (builtin_props ~t ~inputs ~solo_cap ~check_solo @ extra_props t)
-    in
-    let violations = ref [] in
-    let record v = violations := v :: !violations in
-    let check_visit, on_step = prop_driver ~t ~props ~record in
-    let visit v =
-      check_visit v;
-      if prune v.X.config then X.Prune else X.Continue
-    in
-    let stats = X.bfs t ~max_configs ?on_step ~visit () in
-    { configs_explored = stats.X.visited
-    ; violations = List.rev !violations
-    ; truncated = stats.X.truncated
-    }
-
-  let explore_parallel ?(domains = 4) ?(max_configs = 200_000)
+  let explore ?(domains = 1) ?(max_configs = 200_000)
       ?(solo_cap = X.default_solo_cap) ?(check_solo = true)
       ?(prune = fun _ -> false) ?(sym = false) ?(por = false)
       ?(extra_props = fun _ -> []) ?select ~inputs () =
@@ -199,30 +179,31 @@ module Make (P : Shmem.Protocol.S) = struct
     let violations = ref [] in
     let lock = Mutex.create () in
     let record v =
-      Mutex.lock lock;
-      violations := v :: !violations;
-      Mutex.unlock lock
+      Mutex.protect lock (fun () -> violations := v :: !violations)
     in
     let check_visit, on_step = prop_driver ~t ~props ~record in
     let visit v =
       check_visit v;
       if prune v.X.config then X.Prune else X.Continue
     in
-    let stats = X.bfs_parallel t ~domains ~max_configs ?on_step ~visit () in
-    (* workers record concurrently: order violations for reproducibility *)
-    let ordered =
-      List.sort
-        (fun v1 v2 ->
-          let c =
-            Stdlib.compare
-              (Shmem.Trace.length v1.trace, v1.property, v1.detail)
-              (Shmem.Trace.length v2.trace, v2.property, v2.detail)
-          in
-          if c <> 0 then c else Stdlib.compare v1 v2)
-        !violations
+    let stats = X.bfs t ~domains ~max_configs ?on_step ~visit () in
+    let violations =
+      if domains <= 1 then List.rev !violations
+      else
+        (* workers record concurrently: order violations for
+           reproducibility *)
+        List.sort
+          (fun v1 v2 ->
+            let c =
+              Stdlib.compare
+                (Shmem.Trace.length v1.trace, v1.property, v1.detail)
+                (Shmem.Trace.length v2.trace, v2.property, v2.detail)
+            in
+            if c <> 0 then c else Stdlib.compare v1 v2)
+          !violations
     in
     { configs_explored = stats.X.visited
-    ; violations = ordered
+    ; violations
     ; truncated = stats.X.truncated
     }
 

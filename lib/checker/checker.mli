@@ -25,8 +25,8 @@
     evaluated at every visited configuration, step relations and safety
     automata incrementally on every expanded edge through the engine's
     [on_step] observer, with counterexample traces rebuilt by
-    {!Explore.Make.trace_via}.  {!Make.explore_parallel} exposes the
-    engine's multi-domain mode. *)
+    {!Explore.Make.trace_via}.  [~domains] runs the same search on several
+    domains. *)
 
 type violation = {
   property : string;
@@ -56,37 +56,6 @@ module Make (P : Shmem.Protocol.S) : sig
       (shares the underlying arrays; treat as read-only) *)
 
   val explore :
-    ?max_configs:int ->
-    ?solo_cap:int ->
-    ?check_solo:bool ->
-    ?prune:(E.config -> bool) ->
-    ?sym:bool ->
-    ?por:bool ->
-    ?extra_props:(X.t -> Prop.Make(P).t list) ->
-    ?select:string list ->
-    inputs:int array ->
-    unit ->
-    report
-  (** BFS over the reachable configuration graph from [initial ~inputs],
-      via {!Explore.Make.bfs}.  [solo_cap] bounds solo executions when
-      checking solo termination (default {!Explore.Make.default_solo_cap}
-      = 64 * (number of objects + 1)); [prune c = true] stops expanding [c]
-      (the configuration itself is still checked).
-      Defaults: [max_configs = 200_000], [check_solo = true].
-
-      [sym] and [por] (both default [false]) enable the engine's symmetry
-      and partial-order reductions (see {!Explore.Make.create}): verdicts
-      and violation traces stay sound and concrete, but [configs_explored]
-      counts the reduced graph.
-
-      [extra_props] contributes further declared properties (it receives
-      the exploration handle so properties can consult e.g. the memoized
-      solo oracle); [select] restricts checking to the named properties
-      over the combined list — built-ins are "k-agreement", "validity" and
-      "solo-termination"; [Some []] checks nothing (pure enumeration).
-      @raise Invalid_argument if [select] names an unknown property *)
-
-  val explore_parallel :
     ?domains:int ->
     ?max_configs:int ->
     ?solo_cap:int ->
@@ -99,12 +68,32 @@ module Make (P : Shmem.Protocol.S) : sig
     inputs:int array ->
     unit ->
     report
-  (** same properties over {!Explore.Make.bfs_parallel} with [domains]
-      workers (default 4).  Every reachable configuration is checked exactly
-      once, but visit order is nondeterministic, so [violations] are sorted
-      (by schedule length, then property and detail) rather than listed in
-      discovery order, and on truncated runs [configs_explored] may differ
-      slightly from the serial count. *)
+  (** BFS over the reachable configuration graph from [initial ~inputs],
+      via {!Explore.Make.bfs} on [domains] domains (default 1).
+      [solo_cap] bounds solo executions when checking solo termination
+      (default {!Explore.Make.default_solo_cap} = 64 * (number of objects +
+      1)); [prune c = true] stops expanding [c] (the configuration itself
+      is still checked).
+      Defaults: [max_configs = 200_000], [check_solo = true].
+
+      [sym] and [por] (both default [false]) enable the engine's symmetry
+      and partial-order reductions (see {!Explore.Make.create}): verdicts
+      and violation traces stay sound and concrete, but [configs_explored]
+      counts the reduced graph.
+
+      [extra_props] contributes further declared properties (it receives
+      the exploration handle so properties can consult e.g. the memoized
+      solo oracle); [select] restricts checking to the named properties
+      over the combined list — built-ins are "k-agreement", "validity" and
+      "solo-termination"; [Some []] checks nothing (pure enumeration).
+
+      On one domain [violations] are listed in discovery order.  With
+      [domains > 1] every reachable configuration is still checked exactly
+      once, but visit order depends on the interleaving, so [violations]
+      are sorted (by schedule length, then property and detail), and on
+      truncated runs [configs_explored] may differ slightly from the
+      one-domain count.
+      @raise Invalid_argument if [select] names an unknown property *)
 
   val all_input_vectors : unit -> int array list
   (** all [num_inputs ^ n] input assignments *)

@@ -15,8 +15,6 @@ module Make (P : Shmem.Protocol.S) = struct
   let h_orbit = Obs.histogram "explore.canon.orbit_size"
   let h_frontier = Obs.histogram "explore.frontier_level"
   let sp_bfs = Obs.span "explore.bfs"
-  let sp_dfs = Obs.span "explore.dfs"
-  let sp_par = Obs.span "explore.bfs_parallel"
   let sp_walk = Obs.span "explore.walk"
 
   let default_solo_cap = 64 * (Array.length P.objects + 1)
@@ -576,24 +574,51 @@ module Make (P : Shmem.Protocol.S) = struct
     fresh : bool;
   }
 
-  (* Serial traversal generic over the frontier discipline.  The seed
-     checker's loop is reproduced exactly: visit, then prune/budget, then
-     expand enabled processes in ascending pid order. *)
-  let traverse ~push ~pop t ?(max_configs = max_int) ?on_step ~visit () =
-    push (t.root, 0);
-    let visited = ref 0 and truncated = ref false and stopped = ref false in
-    let rec loop () =
-      match pop () with
-      | None -> ()
-      | Some (id, depth) ->
+  (* One BFS level: configuration ids in discovery order, in a growable
+     array reused from level to level. *)
+  type level = { mutable ids : int array; mutable len : int }
+
+  let new_level () = { ids = Array.make 64 0; len = 0 }
+
+  let push l id =
+    if l.len = Array.length l.ids then begin
+      let ids = Array.make (2 * l.len) 0 in
+      Array.blit l.ids 0 ids 0 l.len;
+      l.ids <- ids
+    end;
+    l.ids.(l.len) <- id;
+    l.len <- l.len + 1
+
+  let append l l' =
+    for i = 0 to l'.len - 1 do
+      push l l'.ids.(i)
+    done
+
+  (* The one traversal.  Level by level, each configuration is visited,
+     then pruned or budget-checked, then expanded over its enabled
+     processes in ascending pid order; fresh successors join the next
+     level in discovery order.  On one domain this is exactly the seed
+     checker's FIFO loop: same visit order, same ids, same [on_step]
+     sequence.  On more, large levels are cut into contiguous slices
+     expanded by a pool of [domains - 1] workers plus the caller, and the
+     slices' successors are concatenated in slice order. *)
+  let bfs t ?(domains = 1) ?(max_configs = max_int) ?on_step ~visit () =
+    let visited = Atomic.make 0 in
+    let truncated = Atomic.make false and stopped = Atomic.make false in
+    (* expand [frontier.ids.(lo .. hi - 1)] into [next] *)
+    let expand depth frontier lo hi next =
+      let i = ref lo in
+      while !i < hi && not (Atomic.get stopped) do
+        let id = frontier.ids.(!i) in
         let c = config t id in
-        incr visited;
+        incr i;
+        Atomic.incr visited;
         Obs.Counter.incr m_visited;
-        (match visit { id; config = c; depth; path = lazy (trace_to t id) } with
-        | Stop -> stopped := true
-        | Prune -> truncated := true
+        match visit { id; config = c; depth; path = lazy (trace_to t id) } with
+        | Stop -> Atomic.set stopped true
+        | Prune -> Atomic.set truncated true
         | Continue ->
-          if size t >= max_configs then truncated := true
+          if size t >= max_configs then Atomic.set truncated true
           else
             List.iter
               (fun pid ->
@@ -603,175 +628,90 @@ module Make (P : Shmem.Protocol.S) = struct
                 | None -> ()
                 | Some f ->
                   f { src = id; before = c; step; after = c'; dst = id'; fresh });
-                if fresh then push (id', depth + 1))
-              (expansion t c (E.undecided c)));
-        if not !stopped then loop ()
-    in
-    loop ();
-    { visited = !visited; truncated = !truncated; stopped = !stopped }
-
-  let bfs t ?max_configs ?on_step ~visit () =
-    Obs.Span.time sp_bfs (fun () ->
-        let q = Queue.create () in
-        traverse
-          ~push:(fun x -> Queue.push x q)
-          ~pop:(fun () -> Queue.take_opt q)
-          t ?max_configs ?on_step ~visit ())
-
-  let dfs t ?max_configs ?on_step ~visit () =
-    Obs.Span.time sp_dfs (fun () ->
-        let st = ref [] in
-        traverse
-          ~push:(fun x -> st := x :: !st)
-          ~pop:(fun () ->
-            match !st with
-            | [] -> None
-            | x :: rest ->
-              st := rest;
-              Some x)
-          t ?max_configs ?on_step ~visit ())
-
-  (* Split [items] into [n] chunks of near-equal length. *)
-  let chunks n items =
-    let len = List.length items in
-    let per = (len + n - 1) / n in
-    let rec go acc cur cnt = function
-      | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-      | x :: rest ->
-        if cnt = per then go (List.rev cur :: acc) [ x ] 1 rest
-        else go acc (x :: cur) (cnt + 1) rest
-    in
-    go [] [] 0 items
-
-  let bfs_parallel t ~domains ?(max_configs = max_int) ?on_step ~visit () =
-    let visited = Atomic.make 0 in
-    let truncated = Atomic.make false in
-    let stopped = Atomic.make false in
-    (* expand one slice of a frontier level, returning the fresh ids *)
-    let expand slice =
-      List.fold_left
-        (fun acc (id, depth) ->
-          if Atomic.get stopped then acc
-          else begin
-            let c = config t id in
-            Atomic.incr visited;
-            Obs.Counter.incr m_visited;
-            match
-              visit { id; config = c; depth; path = lazy (trace_to t id) }
-            with
-            | Stop ->
-              Atomic.set stopped true;
-              acc
-            | Prune ->
-              Atomic.set truncated true;
-              acc
-            | Continue ->
-              if size t >= max_configs then begin
-                Atomic.set truncated true;
-                acc
-              end
-              else
-                List.fold_left
-                  (fun acc pid ->
-                    let c', step = E.step c pid in
-                    let id', fresh = intern t ~parent:(id, step) c' in
-                    (match on_step with
-                    | None -> ()
-                    | Some f ->
-                      (* runs on worker domains: observers must be
-                         thread-safe *)
-                      f { src = id; before = c; step; after = c'; dst = id'
-                        ; fresh
-                        });
-                    if fresh then (id', depth + 1) :: acc else acc)
-                  acc
-                  (expansion t c (E.undecided c))
-          end)
-        [] slice
+                if fresh then push next id')
+              (expansion t c (E.undecided c))
+      done
     in
     (* Persistent worker pool: [domains - 1] spawned domains plus the
-       caller, synchronised once per BFS level through a generation counter
+       caller, synchronised once per level through a generation counter
        (spawning a domain per level costs more than expanding a whole small
        level).  Workers block on the condition variable between levels, so
        idle domains burn no cpu. *)
     let nworkers = max 0 (domains - 1) in
     let pool_lock = Mutex.create () in
     let pool_cond = Condition.create () in
-    let slices = Array.make (max 1 nworkers) [] in
-    let results = Array.make (max 1 nworkers) [] in
-    let generation = ref 0 in
-    let pending = ref 0 in
-    let quit = ref false in
+    let slices = Array.make nworkers (0, 0, 0) in
+    let results = Array.init nworkers (fun _ -> new_level ()) in
+    let frontier = ref (new_level ()) and next = ref (new_level ()) in
+    let generation = ref 0 and pending = ref 0 and quit = ref false in
     let worker i =
-      let my_gen = ref 0 in
-      let rec serve () =
+      let rec serve my_gen =
         Mutex.lock pool_lock;
-        while !generation = !my_gen && not !quit do
+        while !generation = my_gen && not !quit do
           Condition.wait pool_cond pool_lock
         done;
         if !quit then Mutex.unlock pool_lock
         else begin
-          my_gen := !generation;
-          let slice = slices.(i) in
+          let gen = !generation and depth, lo, hi = slices.(i) in
           Mutex.unlock pool_lock;
-          let r = expand slice in
+          results.(i).len <- 0;
+          expand depth !frontier lo hi results.(i);
           Mutex.lock pool_lock;
-          results.(i) <- r;
           decr pending;
           Condition.broadcast pool_cond;
           Mutex.unlock pool_lock;
-          serve ()
+          serve gen
         end
       in
-      serve ()
+      serve 0
     in
     let workers =
       Array.init nworkers (fun i -> Domain.spawn (fun () -> worker i))
     in
-    let expand_level frontier =
-      (* fan the level out to the pool; the caller expands its own slice
-         while the workers run *)
-      match chunks (nworkers + 1) frontier with
-      | [] -> []
-      | mine :: others ->
-        let others = Array.of_list others in
-        Mutex.lock pool_lock;
-        for i = 0 to nworkers - 1 do
-          slices.(i) <- (if i < Array.length others then others.(i) else []);
-          results.(i) <- []
-        done;
-        pending := nworkers;
-        incr generation;
-        Condition.broadcast pool_cond;
-        Mutex.unlock pool_lock;
-        let here = expand mine in
-        Mutex.lock pool_lock;
-        while !pending > 0 do
-          Condition.wait pool_cond pool_lock
-        done;
-        Mutex.unlock pool_lock;
-        List.concat (here :: Array.to_list results)
+    (* fan the level out to the pool; the caller expands the first slice
+       while the workers run the others *)
+    let expand_level depth len =
+      let cut j = j * len / (nworkers + 1) in
+      Mutex.lock pool_lock;
+      for i = 0 to nworkers - 1 do
+        slices.(i) <- depth, cut (i + 1), cut (i + 2)
+      done;
+      pending := nworkers;
+      incr generation;
+      Condition.broadcast pool_cond;
+      Mutex.unlock pool_lock;
+      expand depth !frontier 0 (cut 1) !next;
+      Mutex.lock pool_lock;
+      while !pending > 0 do
+        Condition.wait pool_cond pool_lock
+      done;
+      Mutex.unlock pool_lock;
+      Array.iter (append !next) results
     in
-    let rec level frontier =
-      if frontier <> [] && not (Atomic.get stopped) then begin
-        (* the length is only worth computing when someone records it *)
-        if Obs.enabled () then
-          Obs.Histogram.observe h_frontier (List.length frontier);
-        let next =
-          (* below this size, level fan-out costs more than it saves *)
-          if nworkers = 0 || List.length frontier < 4 * domains then
-            expand frontier
-          else expand_level frontier
-        in
-        level next
+    let rec go depth =
+      let len = !frontier.len in
+      if len > 0 && not (Atomic.get stopped) then begin
+        if Obs.enabled () then Obs.Histogram.observe h_frontier len;
+        !next.len <- 0;
+        (* below this size, level fan-out costs more than it saves *)
+        if nworkers = 0 || len < 4 * domains then
+          expand depth !frontier 0 len !next
+        else expand_level depth len;
+        let l = !frontier in
+        frontier := !next;
+        next := l;
+        go (depth + 1)
       end
     in
-    Obs.Span.time sp_par (fun () -> level [ t.root, 0 ]);
-    Mutex.lock pool_lock;
-    quit := true;
-    Condition.broadcast pool_cond;
-    Mutex.unlock pool_lock;
-    Array.iter Domain.join workers;
+    push !frontier t.root;
+    Fun.protect
+      ~finally:(fun () ->
+        Mutex.lock pool_lock;
+        quit := true;
+        Condition.broadcast pool_cond;
+        Mutex.unlock pool_lock;
+        Array.iter Domain.join workers)
+      (fun () -> Obs.Span.time sp_bfs (fun () -> go 0));
     { visited = Atomic.get visited
     ; truncated = Atomic.get truncated
     ; stopped = Atomic.get stopped

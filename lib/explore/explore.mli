@@ -19,11 +19,10 @@
       process's next step decides it and the poised operations pairwise
       commute, only the least pid is expanded — every interleaving of such
       a front yields the same responses and decisions.
-    - {b Strategies}: breadth-first ({!Make.bfs}), depth-first ({!Make.dfs})
-      and sampled random walks ({!Make.walk}, the Theorem-10-style search)
-      share one visitor interface: the strategy calls the visitor at every
-      configuration and the visitor's {!Make.verdict} steers pruning and
-      early exit.
+    - {b Strategies}: breadth-first search ({!Make.bfs}) and sampled random
+      walks ({!Make.walk}, the Theorem-10-style search) share one visitor
+      interface: the strategy calls the visitor at every configuration and
+      the visitor's {!Make.verdict} steers pruning and early exit.
     - {b Memoized solo oracle}: {!Make.solo_ok} caches solo-termination
       verdicts per (pid, pid's state, memory) restriction, the only inputs a
       solo execution can read.  The unreduced memo is keyed memory first:
@@ -33,9 +32,11 @@
       memory's small table.  Under symmetry reduction the key is itself
       canonicalized, so one verdict serves the whole orbit of the
       restriction.
-    - {b Parallel mode}: {!Make.bfs_parallel} runs a level-synchronized BFS
-      over [Domain.spawn] workers; the store and oracle are sharded with
-      per-shard mutexes so workers intern concurrently. *)
+    - {b One BFS, one or more domains}: {!Make.bfs} is level-synchronized;
+      on one domain it is the exact FIFO traversal, and with [~domains]
+      large levels are split across a pool of [Domain.spawn] workers.  The
+      store and oracle are sharded with per-shard mutexes so workers intern
+      concurrently. *)
 
 module Make (P : Shmem.Protocol.S) : sig
   module E : module type of Shmem.Exec.Make (P)
@@ -62,7 +63,7 @@ module Make (P : Shmem.Protocol.S) : sig
     t
   (** [create ~inputs ()] interns [E.initial ~inputs] as the root.
       [shards] (default 1) is the number of independently locked store and
-      oracle partitions; use [>= domains] for parallel exploration.
+      oracle partitions; use [>= domains] for a multi-domain {!bfs}.
       [solo_cap] (default {!default_solo_cap}) bounds the oracle's solo
       executions.
 
@@ -152,12 +153,12 @@ module Make (P : Shmem.Protocol.S) : sig
   type visit = {
     id : id;
     config : E.config;
-        (** for [bfs]/[dfs] this is [config t id] (the stored, possibly
+        (** for [bfs] this is [config t id] (the stored, possibly
             canonical configuration); for [walk] it is the walk's own
             concrete configuration, whose representative [id] names *)
     depth : int;  (** BFS level / walk step index *)
     path : Shmem.Trace.t Lazy.t;
-        (** schedule from the root: the discovery back-edges for [bfs]/[dfs],
+        (** schedule from the root: the discovery back-edges for [bfs],
             the walk's own steps for [walk] *)
   }
 
@@ -188,44 +189,37 @@ module Make (P : Shmem.Protocol.S) : sig
 
   val bfs :
     t ->
+    ?domains:int ->
     ?max_configs:int ->
     ?on_step:(step_obs -> unit) ->
     visit:(visit -> verdict) ->
     unit ->
     stats
-  (** breadth-first over the reachable graph from the root, expanding
-      enabled processes in ascending pid order.  Once [size t] reaches
+  (** level-synchronized breadth-first search over the reachable graph from
+      the root, expanding enabled processes in ascending pid order; each
+      level is kept in discovery order.  Once [size t] reaches
       [max_configs] no further configurations are interned (already queued
       ones are still visited) and the result is marked truncated.  Under
       reduction ([~sym] / [~por]) "the reachable graph" means the quotient
       graph: one representative per orbit, one interleaving per reduced
-      front. *)
+      front.
 
-  val dfs :
-    t ->
-    ?max_configs:int ->
-    ?on_step:(step_obs -> unit) ->
-    visit:(visit -> verdict) ->
-    unit ->
-    stats
-  (** same contract with a LIFO frontier *)
+      With [domains = 1] (the default) everything runs on the calling
+      domain and the search is an exact FIFO traversal: configurations are
+      visited in discovery order (ids 0, 1, 2, ... on a one-shard store),
+      and [Stop] and the [max_configs] budget take effect at the very
+      configuration that triggers them.
 
-  val bfs_parallel :
-    t ->
-    domains:int ->
-    ?max_configs:int ->
-    ?on_step:(step_obs -> unit) ->
-    visit:(visit -> verdict) ->
-    unit ->
-    stats
-  (** level-synchronized parallel BFS: each frontier level is split among
-      [domains] workers ([Domain.spawn]); small levels are expanded in the
-      calling domain to avoid spawn overhead.  [visit] runs concurrently and
-      must be thread-safe; visit order within a level is unspecified, but
-      every reachable configuration is visited exactly once.  [on_step] also
-      runs on worker domains and must be thread-safe.  [Stop] and the
-      [max_configs] budget are honoured at level granularity (best effort
-      within a level).  Create [t] with [~shards] at least [domains]. *)
+      With [domains > 1], a level of at least [4 * domains] configurations
+      is cut into contiguous slices expanded concurrently by [domains - 1]
+      worker domains (one pool per call) and the caller; smaller levels
+      stay on the caller.  [visit] and [on_step] then run on several
+      domains and must be thread-safe.  Every reachable configuration is
+      still visited exactly once, but ids and visit order within a level
+      depend on the interleaving, and [Stop] and [max_configs] are honoured
+      per level (best effort within the level that triggers them).  Any
+      store works; one created with [~shards] at least [domains] lets the
+      workers intern without contending for one lock. *)
 
   (** {1 Sampled walks} *)
 

@@ -304,7 +304,7 @@ module Sim (P : Shmem.Protocol.S) = struct
   let sp_campaign = Obs.span "fault.sim.campaign"
 
   (* one counter per detection channel, so a campaign's snapshot shows
-     where faults were caught (monitor vs protocol raise vs replay check) *)
+     where faults were caught (property vs protocol raise vs replay check) *)
   let m_detect cls = Obs.counter ("fault.detect." ^ cls)
 
   type report = {
@@ -312,7 +312,6 @@ module Sim (P : Shmem.Protocol.S) = struct
     trace : Trace.t;
     outcome : E.outcome;
     fired : (fault * int) list;
-    monitor : string option;
     prop_violation : (string * string) option;
     raised : (int * string) option;
     revived : (int * int) list;
@@ -435,7 +434,6 @@ module Sim (P : Shmem.Protocol.S) = struct
     apply, fired
 
   type violation =
-    | Monitor of string
     | Property of string * string
     | Protocol_raise of string
     | Non_atomic of string
@@ -444,7 +442,6 @@ module Sim (P : Shmem.Protocol.S) = struct
     | Liveness of string
 
   let pp_violation ppf = function
-    | Monitor d -> Fmt.pf ppf "monitor: %s" d
     | Property (name, d) -> Fmt.pf ppf "property %s: %s" name d
     | Protocol_raise d -> Fmt.pf ppf "protocol raised: %s" d
     | Non_atomic d -> Fmt.pf ppf "non-atomic: %s" d
@@ -453,7 +450,6 @@ module Sim (P : Shmem.Protocol.S) = struct
     | Liveness d -> Fmt.pf ppf "liveness: %s" d
 
   let violation_class = function
-    | Monitor _ -> "monitor"
     | Property (name, _) -> "prop:" ^ name
     | Protocol_raise _ -> "protocol-raise"
     | Non_atomic _ -> "non-atomic"
@@ -461,9 +457,7 @@ module Sim (P : Shmem.Protocol.S) = struct
     | Validity _ -> "validity"
     | Liveness _ -> "liveness"
 
-  type on_step = E.config -> int -> E.config -> string option
-
-  let exec ?on_step ?(props = []) ?(revivals = []) ?revive ~apply ~fired
+  let exec ?(props = []) ?(revivals = []) ?revive ~apply ~fired
       ~sched ~max_steps c0 =
     let fired_total_now () =
       List.fold_left (fun acc (_, c) -> acc + c) 0 (fired ())
@@ -479,9 +473,8 @@ module Sim (P : Shmem.Protocol.S) = struct
        consumed by [apply_revival] *)
     let remaining = ref revivals in
     (* revived pids that have not yet taken their first post-revival step:
-       while nonempty, the linear property monitor and the legacy on_step
-       hook are suppressed and the monitor is re-anchored (Pr.start) once
-       every revived pid has stepped.  Config invariants that relate a
+       while nonempty, the linear property monitor is suppressed and
+       re-anchored (Pr.start) once every revived pid has stepped.  Config invariants that relate a
        process's private state to residue the previous incarnation left in
        shared memory (e.g. the §4 totality invariant) would false-alarm on
        the reset state; one step by the new incarnation overwrites or
@@ -491,12 +484,11 @@ module Sim (P : Shmem.Protocol.S) = struct
     let pending = ref [] in
     let mon0, at_init = Pr.start props (snap c0) in
     let mon = ref mon0 in
-    let finish ?monitor ?prop ?raised c rev_steps outcome =
+    let finish ?prop ?raised c rev_steps outcome =
       { final = c;
         trace = List.rev rev_steps;
         outcome;
         fired = fired ();
-        monitor;
         prop_violation = prop;
         raised;
         revived = List.rev !revived;
@@ -585,17 +577,11 @@ module Sim (P : Shmem.Protocol.S) = struct
                     else go c' (s :: rev_steps) (i + 1)
                   end
                   else
-                    match Option.bind on_step (fun f -> f c pid c') with
-                    | Some detail ->
-                      finish ~monitor:detail c' (s :: rev_steps) E.Stopped
-                    | None -> (
-                      match
-                        Pr.advance !mon ~before:(snap c) ~pid
-                          ~after:(snap c')
-                      with
-                      | Some pv ->
-                        finish ~prop:pv c' (s :: rev_steps) E.Stopped
-                      | None -> go c' (s :: rev_steps) (i + 1))))))
+                    match
+                      Pr.advance !mon ~before:(snap c) ~pid ~after:(snap c')
+                    with
+                    | Some pv -> finish ~prop:pv c' (s :: rev_steps) E.Stopped
+                    | None -> go c' (s :: rev_steps) (i + 1)))))
       in
       go c0 [] 0
 
@@ -624,7 +610,7 @@ module Sim (P : Shmem.Protocol.S) = struct
     in
     plain, revivals, revive
 
-  let run ?on_step ?props plan ~sched ~max_steps ~inputs =
+  let run ?props plan ~sched ~max_steps ~inputs =
     (match validate ~n:P.n ~num_objects:(Array.length P.objects) plan with
     | Ok () -> ()
     | Error e -> invalid_arg (Fmt.str "Fault.Sim.run: %s" e));
@@ -634,10 +620,10 @@ module Sim (P : Shmem.Protocol.S) = struct
       E.with_crashes ~crash_at:plain_crashes
         (E.with_stalls ~stalls:(stalls plan) sched)
     in
-    exec ?on_step ?props ~revivals ~revive ~apply ~fired ~sched ~max_steps
+    exec ?props ~revivals ~revive ~apply ~fired ~sched ~max_steps
       (E.initial ~inputs)
 
-  let run_schedule ?on_step ?props plan ~inputs pids =
+  let run_schedule ?props plan ~inputs pids =
     let apply, fired = injector plan in
     let _, revivals, revive = recovery_of plan ~inputs in
     let queue = ref pids in
@@ -654,7 +640,7 @@ module Sim (P : Shmem.Protocol.S) = struct
       in
       next ()
     in
-    exec ?on_step ?props ~revivals ~revive ~apply ~fired ~sched
+    exec ?props ~revivals ~revive ~apply ~fired ~sched
       ~max_steps:(List.length pids + 1)
       (E.initial ~inputs)
 
@@ -693,12 +679,10 @@ module Sim (P : Shmem.Protocol.S) = struct
 
   let detect ?bound ~inputs r =
     let bound = match bound with None -> P.k | Some b -> b in
-    match r.monitor, r.prop_violation, r.raised with
-    | Some d, _, _ -> Some (Monitor d)
-    | None, Some (name, d), _ -> Some (Property (name, d))
-    | None, None, Some (pid, d) ->
-      Some (Protocol_raise (Fmt.str "p%d: %s" pid d))
-    | None, None, None -> (
+    match r.prop_violation, r.raised with
+    | Some (name, d), _ -> Some (Property (name, d))
+    | None, Some (pid, d) -> Some (Protocol_raise (Fmt.str "p%d: %s" pid d))
+    | None, None -> (
       match check_atomic r with
       | Error d -> Some (Non_atomic d)
       | Ok () ->
@@ -716,11 +700,11 @@ module Sim (P : Shmem.Protocol.S) = struct
                   (E.decided_values r.final)))
         else None)
 
-  let shrink ?on_step ?props ?bound plan ~inputs violation pids =
+  let shrink ?props ?bound plan ~inputs violation pids =
     let cls = violation_class violation in
     let violates pids =
       match
-        detect ?bound ~inputs (run_schedule ?on_step ?props plan ~inputs pids)
+        detect ?bound ~inputs (run_schedule ?props plan ~inputs pids)
       with
       | Some v -> String.equal (violation_class v) cls
       | None -> false
@@ -755,7 +739,7 @@ module Sim (P : Shmem.Protocol.S) = struct
     missed : int;
   }
 
-  let campaign ?on_step ?props ?inputs ?(burst = 32) ?(max_steps = 100_000)
+  let campaign ?props ?inputs ?(burst = 32) ?(max_steps = 100_000)
       ~seed ~runs ~kinds () =
     Obs.Span.time sp_campaign @@ fun () ->
     let num_objects = Array.length P.objects in
@@ -775,7 +759,7 @@ module Sim (P : Shmem.Protocol.S) = struct
           Array.init P.n (fun _ -> Random.State.int rng P.num_inputs)
       in
       let sched = E.bursty rng ~burst in
-      let r = run ?on_step ?props plan ~sched ~max_steps ~inputs in
+      let r = run ?props plan ~sched ~max_steps ~inputs in
       Obs.Counter.incr m_plans;
       if Obs.enabled () then begin
         Obs.Counter.add m_steps (Trace.length r.trace);
@@ -803,7 +787,7 @@ module Sim (P : Shmem.Protocol.S) = struct
           | Liveness _ -> None
           | _ ->
             Some
-              (shrink ?on_step ?props ~bound plan ~inputs violation
+              (shrink ?props ~bound plan ~inputs violation
                  (schedule_of r))
         in
         let finding = { run = i; plan; violation; schedule } in

@@ -157,8 +157,6 @@ module Sim (P : Shmem.Protocol.S) : sig
     outcome : E.outcome;
     fired : (fault * int) list;
         (** per object fault of the plan, how many times it manifested *)
-    monitor : string option;
-        (** detail of the first [on_step] violation; the run stops there *)
     prop_violation : (string * string) option;
         (** [(name, detail)] of the first declared property ([?props])
             violated by the run — checked through the property layer's
@@ -188,7 +186,6 @@ module Sim (P : Shmem.Protocol.S) : sig
   val fired_total : report -> int
 
   type violation =
-    | Monitor of string  (** an [on_step] hook (§4 invariant monitor) fired *)
     | Property of string * string
         (** [(name, detail)]: a declared property ([?props]) was violated —
             any [Prop.Make(P).t] is a first-class detection oracle *)
@@ -206,18 +203,11 @@ module Sim (P : Shmem.Protocol.S) : sig
   val pp_violation : Format.formatter -> violation -> unit
 
   val violation_class : violation -> string
-  (** ["monitor"], ["prop:<name>"], ["protocol-raise"], ["non-atomic"],
+  (** ["prop:<name>"], ["protocol-raise"], ["non-atomic"],
       ["agreement"], ["validity"] or ["liveness"] — shrinking preserves the
       class, so a [Property] violation shrinks against {e that} property *)
 
-  type on_step = E.config -> int -> E.config -> string option
-  (** invariant hook called after every step with (before, pid, after);
-      returning [Some detail] stops the run and records a {!Monitor}
-      violation.  The CLI wires [Core.Swap_ksa_monitor.check_step_snap]
-      in here for Algorithm 1. *)
-
   val run :
-    ?on_step:on_step ->
     ?props:Prop.Make(P).t list ->
     plan ->
     sched:E.scheduler ->
@@ -226,8 +216,8 @@ module Sim (P : Shmem.Protocol.S) : sig
     report
   (** execute under the plan: crashes and stalls wrap the scheduler, object
       faults substitute the apply function ({!E.step_with}).  [props] are
-      monitored along the run (after the legacy [on_step] hook); the first
-      violation stops it and lands in [prop_violation].
+      monitored along the run; the first violation stops it and lands in
+      [prop_violation].
 
       Crashes healed by a [Respawn] become finite windows: at the revival
       step the pid's state is rebuilt through [Protocol.S.recovery] and it
@@ -242,7 +232,6 @@ module Sim (P : Shmem.Protocol.S) : sig
       "Supervision & recovery"). *)
 
   val run_schedule :
-    ?on_step:on_step ->
     ?props:Prop.Make(P).t list ->
     plan ->
     inputs:int array ->
@@ -262,14 +251,12 @@ module Sim (P : Shmem.Protocol.S) : sig
       (and no event cap) needed. *)
 
   val detect : ?bound:int -> inputs:int array -> report -> violation option
-  (** first safety violation of the report: monitor, then declared
-      properties, then a protocol raise, then atomicity, then agreement —
-      within [bound] distinct values, default [P.k]; recovery campaigns
-      pass [k + revived] — then validity ([Liveness] is a campaign-level
-      concern) *)
+  (** first safety violation of the report: declared properties, then a
+      protocol raise, then atomicity, then agreement — within [bound]
+      distinct values, default [P.k]; recovery campaigns pass [k + revived]
+      — then validity ([Liveness] is a campaign-level concern) *)
 
   val shrink :
-    ?on_step:on_step ->
     ?props:Prop.Make(P).t list ->
     ?bound:int ->
     plan ->
@@ -310,7 +297,6 @@ module Sim (P : Shmem.Protocol.S) : sig
   }
 
   val campaign :
-    ?on_step:on_step ->
     ?props:Prop.Make(P).t list ->
     ?inputs:int array ->
     ?burst:int ->

@@ -53,7 +53,7 @@ let test_solo_bound_swap_ksa () =
       let (module P) = Core.Swap_ksa.make ~n ~k:1 ~m:2 in
       let r =
         Analyze.run_protocol ~max_configs:3_000 ~solo_bound:bound
-          ~prune:(Util.lap_prune_pair 3)
+          ~prune:(Baselines.Registry.lap_prune 3)
           (module P)
       in
       if not (Analyze.ok r) then
@@ -96,7 +96,7 @@ let test_space_swap_ksa_exact () =
       let (module P) = Core.Swap_ksa.make ~n ~k:1 ~m:2 in
       let r =
         Analyze.Space.run_protocol ~max_configs:20_000
-          ~prune:(Util.lap_prune_pair 3)
+          ~prune:(Baselines.Registry.lap_prune 3)
           (module P)
       in
       if not (Analyze.Space.ok r) then
@@ -126,7 +126,7 @@ let test_mutant_space_underclaim () =
   end in
   let r =
     Analyze.Space.run_protocol ~max_configs:20_000
-      ~prune:(Util.lap_prune_pair 3) ~certificate:false
+      ~prune:(Baselines.Registry.lap_prune 3) ~certificate:false
       (module Bad)
   in
   if Analyze.Space.ok r then

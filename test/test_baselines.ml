@@ -16,14 +16,14 @@ let test_register_object_count () =
 let test_register_exhaustive_n2 () =
   let (module P) = Baselines.Register_ksa.make ~n:2 ~k:1 ~m:2 in
   let module C = Checker.Make (P) in
-  let prune (c : C.E.config) = Util.lap_prune_pair 3 c.C.E.mem in
+  let prune (c : C.E.config) = Baselines.Registry.lap_prune 3 c.C.E.mem in
   Util.check_ok "register-ksa n=2"
     (C.explore_all_inputs ~prune ~max_configs:400_000 ())
 
 let test_register_exhaustive_n3_k2 () =
   let (module P) = Baselines.Register_ksa.make ~n:3 ~k:2 ~m:3 in
   let module C = Checker.Make (P) in
-  let prune (c : C.E.config) = Util.lap_prune_pair 3 c.C.E.mem in
+  let prune (c : C.E.config) = Baselines.Registry.lap_prune 3 c.C.E.mem in
   Util.check_ok "register-ksa n=3 k=2 inputs 012"
     (C.explore ~prune ~max_configs:400_000 ~check_solo:false
        ~inputs:[| 0; 1; 2 |] ())
@@ -46,7 +46,7 @@ let test_readable_swap_object_count () =
 let test_readable_swap_exhaustive_n2 () =
   let (module P) = Baselines.Readable_swap_consensus.make ~n:2 ~m:2 in
   let module C = Checker.Make (P) in
-  let prune (c : C.E.config) = Util.lap_prune_pair 4 c.C.E.mem in
+  let prune (c : C.E.config) = Baselines.Registry.lap_prune 4 c.C.E.mem in
   Util.check_ok "readable-swap n=2"
     (C.explore_all_inputs ~prune ~max_configs:200_000 ())
 

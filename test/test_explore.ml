@@ -3,7 +3,7 @@
    These suites diff the production implementations against the frozen seed
    copies in [Seed_ref] (same instances, same seeds, field-by-field — for
    the checker literally [=] on whole reports), and exercise the engine
-   surface the seed never had: DFS, parallel BFS, the memoized solo oracle
+   surface the seed never had: multi-domain BFS, the memoized solo oracle
    and id-based trace reconstruction. *)
 
 let report =
@@ -18,7 +18,8 @@ let diff_explore name (module P : Shmem.Protocol.S) ?solo_cap ?prune_lap
   let prune =
     match prune_lap with
     | None -> None
-    | Some bound -> Some (fun (c : C.E.config) -> Util.lap_prune_pair bound c.C.E.mem)
+    | Some bound ->
+      Some (fun (c : C.E.config) -> Baselines.Registry.lap_prune bound c.C.E.mem)
   in
   let new_report = C.explore ?solo_cap ?prune ~inputs () in
   let seed_report = R.explore ?solo_cap ?prune ~inputs () in
@@ -127,22 +128,45 @@ let test_diff_theorem10 () =
 
 (* --------------------------------------------------------- engine surface *)
 
-let test_dfs_covers_same_space () =
-  (* on a finite graph BFS and DFS must intern the same configuration set *)
-  let (module P) = Baselines.Cas_consensus.make ~n:2 ~m:2 in
-  let module X = Explore.Make (P) in
-  let inputs = [| 0; 1 |] in
-  let run strat =
-    let t = X.create ~inputs () in
-    let stats = strat t ~visit:(fun _ -> X.Continue) () in
-    stats.X.visited, X.size t
+let test_bfs_discovery_order () =
+  (* on one domain the level-synchronized BFS is the FIFO traversal: a
+     one-shard store hands out ids in discovery order and they are visited
+     in that same order, so the visitor sees 0, 1, 2, ... and every
+     interned configuration once; two domains over a one-shard store
+     intern as many configurations and visit every id once too *)
+  let check name (module P : Shmem.Protocol.S) ~inputs ~prune =
+    let module X = Explore.Make (P) in
+    let run domains =
+      let t = X.create ~inputs () in
+      let ids = ref [] and lock = Mutex.create () in
+      let visit (v : X.visit) =
+        Mutex.protect lock (fun () -> ids := v.X.id :: !ids);
+        if prune v.X.config.X.E.mem then X.Prune else X.Continue
+      in
+      let stats = X.bfs t ~domains ~visit () in
+      Alcotest.(check int)
+        (Fmt.str "%s, %d domains: one visit per id" name domains)
+        (List.length !ids) stats.X.visited;
+      List.rev !ids, X.size t
+    in
+    let ids, size = run 1 in
+    Alcotest.(check (list int))
+      (name ^ ": visited in discovery order")
+      (List.init size Fun.id) ids;
+    let ids2, size2 = run 2 in
+    Alcotest.(check int) (name ^ ": 2 domains intern as many") size size2;
+    Alcotest.(check (list int))
+      (name ^ ": 2 domains visit the same ids")
+      ids
+      (List.sort Int.compare ids2)
   in
-  let bfs_visited, bfs_size = run (fun t ~visit () -> X.bfs t ~visit ()) in
-  let dfs_visited, dfs_size = run (fun t ~visit () -> X.dfs t ~visit ()) in
-  Alcotest.(check int) "same configs interned" bfs_size dfs_size;
-  Alcotest.(check int) "same configs visited" bfs_visited dfs_visited;
-  Alcotest.(check int) "every interned config visited once" bfs_size
-    bfs_visited
+  check "cas n=2" (Baselines.Cas_consensus.make ~n:2 ~m:2) ~inputs:[| 0; 1 |]
+    ~prune:(fun _ -> false);
+  check "swap-ksa n=3"
+    (let (module P) = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2 in
+     (module P))
+    ~inputs:[| 0; 1; 0 |]
+    ~prune:(Baselines.Registry.lap_prune 2)
 
 let test_trace_to_replays () =
   (* every back-edge path must replay from the root to its configuration *)
@@ -161,7 +185,8 @@ let test_trace_to_replays () =
       if Lazy.force v.X.path <> X.trace_to t v.X.id then
         Alcotest.failf "visit.path diverges from trace_to at id %d" v.X.id
     end;
-    if Util.lap_prune_pair 2 v.X.config.X.E.mem then X.Prune else X.Continue
+    if Baselines.Registry.lap_prune 2 v.X.config.X.E.mem then X.Prune
+    else X.Continue
   in
   ignore (X.bfs t ~visit ());
   Alcotest.(check bool) "sampled some ids" true (!checked > 5)
@@ -191,21 +216,12 @@ let test_solo_oracle_consistent () =
                 direct
                 (X.solo_ok t ~pid v.X.config))
             (X.E.undecided v.X.config);
-        if Util.lap_prune_pair 2 v.X.config.X.E.mem then X.Prune
+        if Baselines.Registry.lap_prune 2 v.X.config.X.E.mem then X.Prune
         else X.Continue
       in
       ignore (X.bfs t ~max_configs:5_000 ~visit ());
       Alcotest.(check bool) "sampled some verdicts" true (!sampled > 10))
     [ false; true ]
-
-let total_laps_over budget (mem : Shmem.Value.t array) =
-  Array.fold_left
-    (fun acc v ->
-      match v with
-      | Shmem.Value.Pair (Shmem.Value.Ints u, _) -> Array.fold_left ( + ) acc u
-      | _ -> acc)
-    0 mem
-  > budget
 
 (* [f ()] with observability on, paired with how far [c] advanced *)
 let counting c f =
@@ -227,7 +243,9 @@ let test_solo_oracle_key () =
   let module C = Checker.Make (P) in
   let module Pr = Prop.Make (P) in
   let inputs = [| 0; 1; 0; 1; 0 |] in
-  let prune (c : C.E.config) = total_laps_over 2 c.C.E.mem in
+  let prune (c : C.E.config) =
+    Baselines.Registry.total_lap_prune 2 c.C.E.mem
+  in
   let run () =
     let seen = Hashtbl.create 4096 in
     let distinct = ref 0 in
@@ -305,7 +323,7 @@ let test_parallel_matches_serial () =
   let serial = C.explore ~inputs () in
   List.iter
     (fun domains ->
-      let par = C.explore_parallel ~domains ~inputs () in
+      let par = C.explore ~domains ~inputs () in
       Alcotest.(check int)
         (Fmt.str "%d domains: same configs explored" domains)
         serial.Checker.configs_explored par.Checker.configs_explored;
@@ -318,7 +336,7 @@ let test_parallel_finds_violations () =
   let module C = Checker.Make (P) in
   let inputs = [| 0; 1 |] in
   let serial = C.explore ~inputs () in
-  let par = C.explore_parallel ~domains:4 ~inputs () in
+  let par = C.explore ~domains:4 ~inputs () in
   let multiset r =
     List.sort Stdlib.compare
       (List.map
@@ -344,9 +362,9 @@ let test_parallel_swap_ksa_safe () =
   (* a pruned infinite-space instance through the parallel engine *)
   let (module P) = Core.Swap_ksa.make ~n:2 ~k:1 ~m:2 in
   let module C = Checker.Make (P) in
-  let prune (c : C.E.config) = Util.lap_prune_pair 3 c.C.E.mem in
+  let prune (c : C.E.config) = Baselines.Registry.lap_prune 3 c.C.E.mem in
   let serial = C.explore ~prune ~inputs:[| 0; 1 |] () in
-  let par = C.explore_parallel ~domains:4 ~prune ~inputs:[| 0; 1 |] () in
+  let par = C.explore ~domains:4 ~prune ~inputs:[| 0; 1 |] () in
   Util.check_ok "parallel swap-ksa" par;
   Alcotest.(check int) "same configs explored"
     serial.Checker.configs_explored par.Checker.configs_explored
@@ -357,9 +375,11 @@ let test_parallel_swap_ksa_unreduced () =
   let (module P) = Core.Swap_ksa.make ~n:5 ~k:1 ~m:2 in
   let module C = Checker.Make (P) in
   let inputs = [| 0; 1; 0; 1; 0 |] in
-  let prune (c : C.E.config) = total_laps_over 2 c.C.E.mem in
+  let prune (c : C.E.config) =
+    Baselines.Registry.total_lap_prune 2 c.C.E.mem
+  in
   let serial = C.explore ~prune ~inputs () in
-  let par = C.explore_parallel ~domains:2 ~prune ~inputs () in
+  let par = C.explore ~domains:2 ~prune ~inputs () in
   Util.check_ok "serial swap-ksa n=5" serial;
   Alcotest.(check report) "parallel report equals serial" serial par
 
@@ -380,8 +400,8 @@ let () =
             test_diff_theorem10
         ] )
     ; ( "engine",
-        [ Alcotest.test_case "dfs covers same space" `Quick
-            test_dfs_covers_same_space
+        [ Alcotest.test_case "bfs discovery order" `Quick
+            test_bfs_discovery_order
         ; Alcotest.test_case "trace_to replays" `Quick test_trace_to_replays
         ; Alcotest.test_case "solo oracle consistent" `Quick
             test_solo_oracle_consistent

@@ -290,23 +290,18 @@ let test_detection_schedules_are_minimal () =
     s.F.detections
 
 let test_monitor_wired_campaign () =
-  (* the §4 invariant monitor as an [on_step] hook, exactly as the CLI
-     wires it: object-fault campaigns stay fully detected (missed = 0) and
-     benign campaigns never trip it *)
+  (* the §4 invariants as declared properties, exactly as the CLI wires
+     them: object-fault campaigns stay fully detected (missed = 0) and
+     benign campaigns never trip them *)
   let (module P) = mk_swap_ksa () in
   let module F = Fault.Sim (P) in
   let module M = Core.Swap_ksa_monitor.Make (P) in
-  let snap (c : F.E.config) = { M.states = c.F.E.states; mem = c.F.E.mem } in
-  let on_step before pid after =
-    match M.check_step_snap (snap before) pid (snap after) with
-    | () -> None
-    | exception Core.Swap_ksa_monitor.Invariant_violation msg -> Some msg
-  in
-  let s = F.campaign ~on_step ~seed:5 ~runs:25 ~kinds:Fault.all_kinds () in
+  let props = M.online_props in
+  let s = F.campaign ~props ~seed:5 ~runs:25 ~kinds:Fault.all_kinds () in
   Alcotest.(check int) "monitored: no unexpected violations" 0
     (List.length s.F.violations);
   Alcotest.(check int) "monitored: nothing missed" 0 s.F.missed;
-  let b = F.campaign ~on_step ~seed:5 ~runs:25 ~kinds:Fault.benign_kinds () in
+  let b = F.campaign ~props ~seed:5 ~runs:25 ~kinds:Fault.benign_kinds () in
   Alcotest.(check int) "benign monitored: clean" 0
     (List.length b.F.violations + b.F.missed)
 

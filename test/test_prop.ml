@@ -297,7 +297,7 @@ let test_differential_checker () =
       let module P = (val mk ~n ~k ~m) in
       let module M = Core.Swap_ksa_monitor.Make (P) in
       let module C = Checker.Make (P) in
-      let prune (c : C.E.config) = Util.lap_prune_pair cap c.C.E.mem in
+      let prune (c : C.E.config) = Baselines.Registry.lap_prune cap c.C.E.mem in
       let inputs = Array.init n (fun pid -> pid mod m) in
       List.iter
         (fun (sym, por) ->
@@ -475,9 +475,7 @@ let test_mutant_solo_bound () =
      two domains (each worker with its own memory memo over the oracle) *)
   let module C = Checker.Make (P) in
   let serial = C.explore ~max_configs:500 ~inputs:[| 0; 1 |] () in
-  let par =
-    C.explore_parallel ~domains:2 ~max_configs:500 ~inputs:[| 0; 1 |] ()
-  in
+  let par = C.explore ~domains:2 ~max_configs:500 ~inputs:[| 0; 1 |] () in
   let caught what (r : Checker.report) =
     Alcotest.(check (list string))
       (what ^ ": caught by solo-termination only")
@@ -507,7 +505,7 @@ let test_mutant_checker_and_shrink () =
   let module P = (val Core.Swap_ksa.make_ablation ~n:3 ~k:1 ~m:2 ~lead:1 ()) in
   let module M = Core.Swap_ksa_monitor.Make (P) in
   let module C = Checker.Make (P) in
-  let prune (c : C.E.config) = Util.lap_prune_pair 3 c.C.E.mem in
+  let prune (c : C.E.config) = Baselines.Registry.lap_prune 3 c.C.E.mem in
   let inputs = [| 0; 1; 0 |] in
   let r =
     C.explore ~max_configs:100_000 ~prune ~check_solo:false
@@ -658,7 +656,8 @@ let test_registry_packs () =
       let module C = Checker.Make (Pk.P) in
       let r =
         C.explore ~max_configs:300 ~check_solo:false
-          ~prune:(fun (c : C.E.config) -> Util.lap_prune_pair 1 c.C.E.mem)
+          ~prune:(fun (c : C.E.config) ->
+            Baselines.Registry.lap_prune 1 c.C.E.mem)
           ~extra_props:(fun _ -> Pk.props)
           ~inputs:(Array.init Pk.P.n (fun pid -> pid mod Pk.P.num_inputs))
           ()

@@ -12,7 +12,7 @@ let test_register_protocol_over_readable_swap () =
        (function Shmem.Obj_kind.Readable_swap _ -> true | _ -> false)
        T.objects);
   let module C = Checker.Make (T) in
-  let prune (c : C.E.config) = Util.lap_prune_pair 3 c.C.E.mem in
+  let prune (c : C.E.config) = Baselines.Registry.lap_prune 3 c.C.E.mem in
   Util.check_ok "register-ksa over readable swap"
     (C.explore_all_inputs ~prune ~max_configs:400_000 ())
 

@@ -70,7 +70,7 @@ let test_solo_step_bound () =
 let exhaustive n k m lap max_configs =
   let (module P) = make ~n ~k ~m in
   let module C = Checker.Make (P) in
-  let prune (c : C.E.config) = Util.lap_prune_pair lap c.C.E.mem in
+  let prune (c : C.E.config) = Baselines.Registry.lap_prune lap c.C.E.mem in
   C.explore_all_inputs ~prune ~max_configs ()
 
 let test_exhaustive_n2 () =
@@ -85,7 +85,7 @@ let test_exhaustive_n3_k2 () =
 let test_exhaustive_n3_k1_one_input () =
   let (module P) = make ~n:3 ~k:1 ~m:2 in
   let module C = Checker.Make (P) in
-  let prune (c : C.E.config) = Util.lap_prune_pair 2 c.C.E.mem in
+  let prune (c : C.E.config) = Baselines.Registry.lap_prune 2 c.C.E.mem in
   Util.check_ok "swap-ksa n=3 k=1 m=2 inputs 011"
     (C.explore ~prune ~max_configs:200_000 ~inputs:[| 0; 1; 1 |] ())
 
@@ -280,7 +280,7 @@ let test_ablation_unsafe_variants_caught () =
         Core.Swap_ksa.make_ablation ~n:2 ~k:1 ~m:2 ~lead ~merge ()
       in
       let module C = Checker.Make (P) in
-      let prune (c : C.E.config) = Util.lap_prune_pair 4 c.C.E.mem in
+      let prune (c : C.E.config) = Baselines.Registry.lap_prune 4 c.C.E.mem in
       let r = C.explore_all_inputs ~prune ~max_configs:100_000 () in
       Alcotest.(check bool)
         (Fmt.str "lead=%d merge=%b unsafe" lead merge)
@@ -290,7 +290,7 @@ let test_ablation_unsafe_variants_caught () =
 let test_ablation_safe_variant () =
   let (module P) = Core.Swap_ksa.make_ablation ~n:2 ~k:1 ~m:2 ~lead:3 () in
   let module C = Checker.Make (P) in
-  let prune (c : C.E.config) = Util.lap_prune_pair 5 c.C.E.mem in
+  let prune (c : C.E.config) = Baselines.Registry.lap_prune 5 c.C.E.mem in
   Util.check_ok "lead=3 safe"
     (C.explore_all_inputs ~prune ~max_configs:300_000 ())
 

@@ -219,7 +219,8 @@ let test_reduced_traces_replay_deep () =
   let ids = ref [] in
   let visit (v : X.visit) =
     if v.X.depth mod 3 = 0 then ids := v.X.id :: !ids;
-    if Util.lap_prune_pair 2 (v.X.config).X.E.mem then X.Prune else X.Continue
+    if Baselines.Registry.lap_prune 2 v.X.config.X.E.mem then X.Prune
+    else X.Continue
   in
   ignore (X.bfs t ~max_configs:20_000 ~visit ());
   Alcotest.(check bool) "sym active" true (X.sym_enabled t);
@@ -255,7 +256,7 @@ let test_walk_under_reduction () =
 let test_all_inputs_multiset_dedup () =
   let (module P) = Core.Swap_ksa.make ~n:3 ~k:1 ~m:2 in
   let module C = Checker.Make (P) in
-  let prune c = Util.lap_prune_pair 2 c.C.E.mem in
+  let prune c = Baselines.Registry.lap_prune 2 c.C.E.mem in
   let full = C.explore_all_inputs ~prune () in
   let reduced = C.explore_all_inputs ~prune ~sym:true ~por:true () in
   Alcotest.(check bool) "full ok" true (Checker.ok full);

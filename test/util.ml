@@ -1,14 +1,5 @@
 (* Shared helpers for the test suites. *)
 
-let lap_prune_pair bound (mem : Shmem.Value.t array) =
-  Array.exists
-    (fun v ->
-      match v with
-      | Shmem.Value.Pair (Shmem.Value.Ints u, _) ->
-        Array.exists (fun x -> x > bound) u
-      | _ -> false)
-    mem
-
 let check_ok what report =
   Alcotest.(check bool)
     (Fmt.str "%s: %a" what Checker.pp_report report)
