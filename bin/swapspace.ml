@@ -1,47 +1,57 @@
 (* The swapspace command-line interface.
 
      swapspace run        simulate an algorithm under a chosen scheduler
-     swapspace check      model-check an algorithm (exhaustive or random)
-     swapspace analyze    static protocol lints + solo-bound verification
+     swapspace check      model-check an algorithm against its property pack
+     swapspace props      list the declared properties of each algorithm
+     swapspace analyze    static protocol lints, solo-bound verification
+                          and object-space certification
+     swapspace lint       static source lints over the repository
      swapspace lemma9     run the Theorem 10 / Lemma 9 adversary
      swapspace lb-binary  run the Lemma 15 construction (Theorem 17)
      swapspace lb-bounded run the Lemma 19 construction (Theorem 21)
-     swapspace multicore  run Algorithm 1 on real domains *)
+     swapspace bounds     print every bound from the paper in closed form
+     swapspace multicore  run an algorithm on real domains
+     swapspace chaos      seeded fault-injection campaigns on either backend
+     swapspace resil      supervised crash-recovery drills on real domains
+     swapspace serve      the long-running arena consensus service
+
+   Every verb exits 0 on success, 1 on a violation or failed check and 2
+   on a usage error (one line on stderr). *)
 
 open Cmdliner
 
+(* -------------------------------------------------------------- usage *)
+
+(* the one usage error: raised anywhere below, reported next to
+   [Cmd.eval] *)
+exception Usage of string
+
+let usage fmt = Fmt.kstr (fun msg -> raise (Usage msg)) fmt
+
+(* a constructor's rejection of its parameters is a usage error *)
+let or_usage f =
+  match f () with v -> v | exception Invalid_argument msg -> usage "%s" msg
+
 (* ---------------------------------------------------------- protocols *)
 
-let protocol_of ~algo ~n ~k ~m ~cap : (module Shmem.Protocol.S) =
-  match algo with
-  | "swap-ksa" ->
-    let (module P) = Core.Swap_ksa.make ~n ~k ~m in
-    (module P)
-  | "register-ksa" -> Baselines.Register_ksa.make ~n ~k ~m
-  | "readable-swap" -> Baselines.Readable_swap_consensus.make ~n ~m
-  | "binary-track" ->
-    let (module B) = Baselines.Binary_track_consensus.make ~n ~cap in
-    (module B)
-  | "bitwise" -> Baselines.Bitwise_consensus.make ~n ~m ~cap
-  | "grouped" -> Baselines.Grouped_ksa.make ~n ~k ~m
-  | "cas" -> Baselines.Cas_consensus.make ~n ~m
-  | "two-proc" -> Core.Two_proc_swap.make ~m
-  | "pair-ksa" -> Core.Pair_ksa.make ~n ~m
-  | other ->
-    Fmt.failwith
-      "unknown algorithm %s (try swap-ksa, register-ksa, readable-swap, \
-       binary-track, bitwise, grouped, cas, two-proc, pair-ksa)"
-      other
+(* the checker's own properties, always in force unless deselected *)
+let builtin_prop_names = [ "k-agreement"; "validity"; "solo-termination" ]
 
-(* [check] and [analyze] are the verbs CI drives over algorithm names, so
-   an unknown name is a usage error (exit 2, like cmdliner's own), not an
-   uncaught exception *)
-let protocol_or_usage_error ~algo ~n ~k ~m ~cap =
-  match protocol_of ~algo ~n ~k ~m ~cap with
-  | p -> p
-  | exception Failure msg ->
-    Fmt.epr "swapspace: %s@." msg;
-    exit 2
+(* an algorithm's property pack, and the declared properties a verb checks
+   on top of its own built-ins *)
+module Pack (Pk : Prop.PACK) = struct
+  include Pk
+  module Pr = Prop.Make (P)
+
+  let declared =
+    List.filter (fun p -> not (List.mem (Pr.name p) builtin_prop_names)) props
+end
+
+(* the one name -> protocol + props map for every verb taking --algo *)
+let resolve ~algo ~n ~k ~m ~cap =
+  match Baselines.Registry.resolve algo ~n ~k ~m ~cap with
+  | Ok pack -> pack
+  | Error msg -> usage "%s" msg
 
 (* --------------------------------------------------------------- args *)
 
@@ -76,8 +86,13 @@ let inputs_arg =
 let parse_inputs ~n ~m = function
   | None -> Array.init n (fun i -> i mod m)
   | Some s ->
-    let l = String.split_on_char ',' s |> List.map int_of_string in
-    if List.length l <> n then Fmt.failwith "expected %d inputs" n;
+    let input x =
+      match int_of_string_opt (String.trim x) with
+      | Some v when v >= 0 && v < m -> v
+      | _ -> usage "bad --inputs entry %S (expected 0..%d)" x (m - 1)
+    in
+    let l = String.split_on_char ',' s |> List.map input in
+    if List.length l <> n then usage "expected %d inputs" n;
     Array.of_list l
 
 (* the reductions are on by default for the verbs that explore state
@@ -129,7 +144,7 @@ let with_metrics ~metrics ~out f =
   | Some fmt ->
     (match fmt with
     | "table" | "json" -> ()
-    | s -> Fmt.failwith "unknown --metrics format %s (table, json)" s);
+    | s -> usage "unknown --metrics format %s (table, json)" s);
     Obs.enable ();
     let result = f () in
     let snap = Obs.snapshot () in
@@ -153,7 +168,8 @@ let with_metrics ~metrics ~out f =
 let run_cmd =
   let go algo n k m cap seed inputs sched burst max_steps show_trace script
       diagram =
-    let (module P) = protocol_of ~algo ~n ~k ~m ~cap in
+    let module A = Pack ((val resolve ~algo ~n ~k ~m ~cap)) in
+    let module P = A.P in
     let module E = Shmem.Exec.Make (P) in
     let inputs = parse_inputs ~n:P.n ~m:P.num_inputs inputs in
     let rng = Random.State.make [| seed |] in
@@ -162,7 +178,7 @@ let run_cmd =
       match script with
       | Some text -> (
         match Shmem.Schedule.parse text with
-        | Error e -> Fmt.failwith "bad --script: %s" e
+        | Error e -> usage "bad --script: %s" e
         | Ok pids ->
           let c, trace = E.run_script c0 pids in
           c, trace, E.Stopped)
@@ -172,7 +188,7 @@ let run_cmd =
           | "random" -> E.random rng
           | "round-robin" -> E.round_robin
           | "bursty" -> E.bursty rng ~burst
-          | s -> Fmt.failwith "unknown scheduler %s" s
+          | s -> usage "unknown scheduler %s" s
         in
         E.run ~sched ~max_steps c0
     in
@@ -189,8 +205,12 @@ let run_cmd =
       Fmt.(list ~sep:(any ",") int)
       (E.decided_values c);
     Fmt.pr "%a@." Shmem.Stats.pp (Shmem.Stats.of_trace trace);
-    if not (E.check_agreement c) then Fmt.failwith "k-AGREEMENT VIOLATED";
-    if not (E.check_validity ~inputs c) then Fmt.failwith "VALIDITY VIOLATED"
+    let fail what =
+      Fmt.epr "swapspace: %s@." what;
+      exit 1
+    in
+    if not (E.check_agreement c) then fail "k-AGREEMENT VIOLATED";
+    if not (E.check_validity ~inputs c) then fail "VALIDITY VIOLATED"
   in
   let sched =
     Arg.(
@@ -231,9 +251,6 @@ let run_cmd =
 
 (* -------------------------------------------------------------- check *)
 
-(* the checker's own properties, always in force unless deselected *)
-let builtin_prop_names = [ "k-agreement"; "validity"; "solo-termination" ]
-
 (* --props all | none | P1,P2,... compiled to the checker's [?select] *)
 let parse_prop_select = function
   | "all" -> None
@@ -244,101 +261,57 @@ let parse_prop_select = function
       |> List.map String.trim
       |> List.filter (fun x -> x <> ""))
 
-(* the declared-property pack the CLI attaches to a protocol built from raw
-   --algo/--n/--k/--m flags (the registry carries packs for its own
-   entries): Algorithm 1 gets the §4 invariant monitor, everything else the
-   generic protocol-independent set *)
-let pack_of_algo ~algo ~n ~k ~m (module P : Shmem.Protocol.S) : Prop.pack =
-  if algo = "swap-ksa" then
-    (module struct
-      module P = (val Core.Swap_ksa.make ~n ~k ~m)
-
-      let props =
-        let module M = Core.Swap_ksa_monitor.Make (P) in
-        M.online_props
-    end)
-  else Prop.generic_pack (module P)
-
 let check_cmd =
   let go algo n k m cap inputs all_inputs all_algos props_sel lap_cap
       total_lap max_configs no_solo domains no_sym no_por metrics metrics_out
       =
-    let sym = not no_sym and por = not no_por in
+    let sym = not no_sym and por = not no_por and check_solo = not no_solo in
     let select = parse_prop_select props_sel in
-    (* an unknown --props name is a usage error, like an unknown --algo *)
-    let or_usage f =
-      match f () with
-      | r -> r
-      | exception Invalid_argument msg ->
-        Fmt.epr "swapspace: %s@." msg;
-        exit 2
+    let results =
+      with_metrics ~metrics ~out:metrics_out @@ fun () ->
+      (* the checker rejects an unknown --props name with Invalid_argument *)
+      or_usage @@ fun () ->
+      if all_algos then
+        (* every registry entry, all input vectors, with the entry's own
+           declared-property pack riding along *)
+        List.map
+          (fun (e : Baselines.Registry.entry) ->
+            let module A = Pack ((val e.props)) in
+            let module C = Checker.Make (A.P) in
+            let prune (c : C.E.config) = e.prune c.C.E.mem in
+            ( e.name,
+              C.explore_all_inputs ~prune ~max_configs ~check_solo ~sym ~por
+                ~extra_props:(fun _ -> A.declared)
+                ?select () ))
+          (Baselines.Registry.standard ~n ())
+      else begin
+        let module A = Pack ((val resolve ~algo ~n ~k ~m ~cap)) in
+        let module P = A.P in
+        let module C = Checker.Make (P) in
+        let extra_props _ = A.declared in
+        let prune (c : C.E.config) =
+          Baselines.Registry.lap_prune lap_cap c.C.E.mem
+          ||
+          match total_lap with
+          | None -> false
+          | Some budget -> Baselines.Registry.total_lap_prune budget c.C.E.mem
+        in
+        [ ( P.name,
+            if all_inputs then
+              C.explore_all_inputs ~prune ~max_configs ~check_solo ~sym ~por
+                ~extra_props ?select ()
+            else
+              C.explore ~domains ~prune ~max_configs ~check_solo ~sym ~por
+                ~extra_props ?select
+                ~inputs:(parse_inputs ~n:P.n ~m:P.num_inputs inputs)
+                () )
+        ]
+      end
     in
-    if all_algos then begin
-      (* every registry entry, all input vectors, with the entry's own
-         declared-property pack riding along *)
-      let entries = Baselines.Registry.standard ~n () in
-      let results =
-        with_metrics ~metrics ~out:metrics_out (fun () ->
-            List.map
-              (fun (e : Baselines.Registry.entry) ->
-                let (module Pk) = e.props in
-                let module C = Checker.Make (Pk.P) in
-                let module PM = Prop.Make (Pk.P) in
-                let extra =
-                  List.filter
-                    (fun p ->
-                      not (List.mem (PM.name p) builtin_prop_names))
-                    Pk.props
-                in
-                let prune (c : C.E.config) = e.prune c.C.E.mem in
-                ( e.name,
-                  or_usage (fun () ->
-                      C.explore_all_inputs ~prune ~max_configs
-                        ~check_solo:(not no_solo) ~sym ~por
-                        ~extra_props:(fun _ -> extra)
-                        ?select ()) ))
-              entries)
-      in
-      List.iter
-        (fun (name, r) -> Fmt.pr "%s: %a@." name Checker.pp_report r)
-        results;
-      if not (List.for_all (fun (_, r) -> Checker.ok r) results) then exit 1
-    end
-    else begin
-      let p = protocol_or_usage_error ~algo ~n ~k ~m ~cap in
-      let (module Pk) = pack_of_algo ~algo ~n ~k ~m p in
-      let module P = Pk.P in
-      let module C = Checker.Make (P) in
-      let module PM = Prop.Make (P) in
-      let extra =
-        List.filter
-          (fun pr -> not (List.mem (PM.name pr) builtin_prop_names))
-          Pk.props
-      in
-      let extra_props _ = extra in
-      let prune (c : C.E.config) =
-        Baselines.Registry.lap_prune lap_cap c.C.E.mem
-        ||
-        match total_lap with
-        | None -> false
-        | Some budget -> Baselines.Registry.total_lap_prune budget c.C.E.mem
-      in
-      let report =
-        with_metrics ~metrics ~out:metrics_out (fun () ->
-            or_usage (fun () ->
-                if all_inputs then
-                  C.explore_all_inputs ~prune ~max_configs
-                    ~check_solo:(not no_solo) ~sym ~por ~extra_props ?select
-                    ()
-                else
-                  let inputs = parse_inputs ~n:P.n ~m:P.num_inputs inputs in
-                  C.explore ~domains ~prune ~max_configs
-                    ~check_solo:(not no_solo) ~sym ~por ~extra_props ?select
-                    ~inputs ()))
-      in
-      Fmt.pr "%s: %a@." P.name Checker.pp_report report;
-      if not (Checker.ok report) then exit 1
-    end
+    List.iter
+      (fun (name, r) -> Fmt.pr "%s: %a@." name Checker.pp_report r)
+      results;
+    if not (List.for_all (fun (_, r) -> Checker.ok r) results) then exit 1
   in
   let all_inputs =
     Arg.(value & flag & info [ "all-inputs" ] ~doc:"Check every input vector.")
@@ -406,18 +379,29 @@ let check_cmd =
 
 (* -------------------------------------------------------------- props *)
 
+(* [--algo NAME | --all] over the registry at [--n]: the entries the
+   registry-wide verbs (props, analyze) work on *)
+let registry_entries ~algo_doc ~all_doc =
+  let algo =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "algo"; "a" ] ~docv:"NAME" ~doc:algo_doc)
+  in
+  let all = Arg.(value & flag & info [ "all" ] ~doc:all_doc) in
+  let entries algo all n =
+    match algo with
+    | Some _ when all -> usage "--all and --algo are mutually exclusive"
+    | None -> Baselines.Registry.standard ~n ()
+    | Some name -> (
+      match Baselines.Registry.find name ~n with
+      | Ok e -> [ e ]
+      | Error msg -> usage "%s" msg)
+  in
+  Term.(const entries $ algo $ all $ n)
+
 let props_cmd =
-  let go algo n =
-    let entries =
-      match algo with
-      | None -> Baselines.Registry.standard ~n ()
-      | Some name -> (
-        match Baselines.Registry.find name ~n with
-        | Ok e -> [ e ]
-        | Error msg ->
-          Fmt.epr "swapspace: %s@." msg;
-          exit 2)
-    in
+  let go entries =
     Fmt.pr
       "built-in for every algorithm: k-agreement [invariant], validity \
        [invariant], solo-termination [invariant]@.";
@@ -430,40 +414,28 @@ let props_cmd =
           List.iter (fun s -> Fmt.pr "  %a@." Prop.pp_spec s) specs)
       entries
   in
-  let algo =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "algo"; "a" ] ~docv:"NAME"
-          ~doc:
-            "Registry entry to list (prefix match); omitted (or with \
-             $(b,--all)), every registered algorithm is listed.")
+  let entries =
+    registry_entries
+      ~algo_doc:
+        "Registry entry to list (prefix match); omitted (or with \
+         $(b,--all)), every registered algorithm is listed."
+      ~all_doc:"List every registered algorithm (default)."
   in
-  let all =
-    Arg.(
-      value & flag
-      & info [ "all" ] ~doc:"List every registered algorithm (default).")
-  in
-  let combine algo all =
-    if all && algo <> None then (
-      Fmt.epr "swapspace: --all and --algo are mutually exclusive@.";
-      exit 2);
-    algo
-  in
-  let algo = Term.(const combine $ algo $ all) in
   Cmd.v
     (Cmd.info "props"
        ~doc:
          "List the declared properties attached to each registered \
           algorithm (name, kind, statement) — the names $(b,check --props) \
           selects on.")
-    Term.(const go $ algo $ n)
+    Term.(const go $ entries)
 
 (* ------------------------------------------------------------- lemma9 *)
 
 let lemma9_cmd =
   let go n k =
-    let (module P) = Core.Swap_ksa.make ~n ~k ~m:(k + 1) in
+    let (module P) =
+      or_usage (fun () -> Core.Swap_ksa.make ~n ~k ~m:(k + 1))
+    in
     let module T = Lowerbound.Theorem10.Make (P) in
     let cert = T.run () in
     List.iter
@@ -499,7 +471,9 @@ let lemma9_cmd =
 
 let lb_binary_cmd =
   let go n cap full =
-    let (module B) = Baselines.Binary_track_consensus.make ~n ~cap in
+    let (module B) =
+      or_usage (fun () -> Baselines.Binary_track_consensus.make ~n ~cap)
+    in
     let module L = Lowerbound.Binary_lb.Make (B) in
     let r = L.run ~include_others:full () in
     Fmt.pr "%a@.@.%a@." L.pp_result r L.pp_figure r
@@ -517,7 +491,9 @@ let lb_binary_cmd =
 
 let lb_bounded_cmd =
   let go n cap full =
-    let (module B) = Baselines.Binary_track_consensus.make ~n ~cap in
+    let (module B) =
+      or_usage (fun () -> Baselines.Binary_track_consensus.make ~n ~cap)
+    in
     let module L = Lowerbound.Bounded_lb.Make (B) in
     let r = L.run ~include_others:full () in
     Fmt.pr "%a@.@.%a@." L.pp_result r L.pp_figure r
@@ -553,44 +529,46 @@ let bounds_cmd =
 
 let multicore_cmd =
   let go algo n k m cap seed inputs hand metrics metrics_out =
-    with_metrics ~metrics ~out:metrics_out @@ fun () ->
-    if hand then begin
-      (* the hand-optimized Algorithm 1 kept as a comparison point *)
-      if algo <> "swap-ksa" then
-        Fmt.failwith "--hand only applies to --algo swap-ksa";
-      let inputs = parse_inputs ~n ~m inputs in
-      let o = Multicore.Swap_ksa_mc.run ~n ~k ~m ~inputs ~seed () in
-      (match Multicore.Swap_ksa_mc.check ~inputs ~k o with
-      | Ok () -> ()
-      | Error e -> Fmt.failwith "%s" e);
-      Fmt.pr
-        "swap-ksa (hand-optimized) n=%d k=%d m=%d: decided=[%a] in %.4fs; \
-         passes=[%a] swaps=[%a]@."
-        n k m
-        Fmt.(array ~sep:(any ",") int)
-        o.Multicore.Swap_ksa_mc.decisions o.Multicore.Swap_ksa_mc.elapsed
-        Fmt.(array ~sep:(any ",") int)
-        o.Multicore.Swap_ksa_mc.passes
-        Fmt.(array ~sep:(any ",") int)
-        o.Multicore.Swap_ksa_mc.swaps
-    end
-    else begin
-      let (module P) = protocol_of ~algo ~n ~k ~m ~cap in
-      let module R = Runtime.Make (P) in
-      let inputs = parse_inputs ~n:P.n ~m:P.num_inputs inputs in
-      let o = R.run ~inputs ~seed () in
-      (match R.check ~inputs o with
-      | Ok () -> ()
-      | Error e -> Fmt.failwith "%s (k-agreement/validity check)" e);
-      Fmt.pr
-        "%s: decided=[%a] in %.4fs; ops=[%a] backoffs=[%a]@." P.name
-        Fmt.(array ~sep:(any ",") int)
-        o.R.decisions o.R.elapsed
-        Fmt.(array ~sep:(any ",") int)
-        o.R.ops
-        Fmt.(array ~sep:(any ",") int)
-        o.R.backoffs
-    end
+    let module A = Pack ((val resolve ~algo ~n ~k ~m ~cap)) in
+    let module P = A.P in
+    if hand && algo <> "swap-ksa" then
+      usage "--hand only applies to --algo swap-ksa";
+    let inputs = parse_inputs ~n:P.n ~m:P.num_inputs inputs in
+    let verdict =
+      with_metrics ~metrics ~out:metrics_out @@ fun () ->
+      if hand then begin
+        (* the hand-optimized Algorithm 1 kept as a comparison point *)
+        let o = Multicore.Swap_ksa_mc.run ~n ~k ~m ~inputs ~seed () in
+        Fmt.pr
+          "swap-ksa (hand-optimized) n=%d k=%d m=%d: decided=[%a] in %.4fs; \
+           passes=[%a] swaps=[%a]@."
+          n k m
+          Fmt.(array ~sep:(any ",") int)
+          o.Multicore.Swap_ksa_mc.decisions o.Multicore.Swap_ksa_mc.elapsed
+          Fmt.(array ~sep:(any ",") int)
+          o.Multicore.Swap_ksa_mc.passes
+          Fmt.(array ~sep:(any ",") int)
+          o.Multicore.Swap_ksa_mc.swaps;
+        Multicore.Swap_ksa_mc.check ~inputs ~k o
+      end
+      else begin
+        let module R = Runtime.Make (P) in
+        let o = R.run ~inputs ~seed () in
+        Fmt.pr "%s: decided=[%a] in %.4fs; ops=[%a] backoffs=[%a]@." P.name
+          Fmt.(array ~sep:(any ",") int)
+          o.R.decisions o.R.elapsed
+          Fmt.(array ~sep:(any ",") int)
+          o.R.ops
+          Fmt.(array ~sep:(any ",") int)
+          o.R.backoffs;
+        R.check ~inputs o
+      end
+    in
+    match verdict with
+    | Ok () -> ()
+    | Error e ->
+      Fmt.epr "swapspace: %s (k-agreement/validity check)@." e;
+      exit 1
   in
   let hand =
     Arg.(
@@ -631,10 +609,8 @@ module Chaos_sim (P : Shmem.Protocol.S) = struct
               (Shmem.Schedule.to_string s)))
       f.F.schedule
 
-  let go ?props ?inputs ~burst ~max_steps ~seed ~runs ~kinds () =
-    let s =
-      F.campaign ?props ?inputs ~burst ~max_steps ~seed ~runs ~kinds ()
-    in
+  let go ~props ?inputs ~burst ~max_steps ~seed ~runs ~kinds () =
+    let s = F.campaign ~props ?inputs ~burst ~max_steps ~seed ~runs ~kinds () in
     { header =
         Fmt.str "chaos (sim) %s: %d runs, seed %d, kinds [%a]" P.name runs
           seed
@@ -662,10 +638,10 @@ end
 module Chaos_mc (P : Shmem.Protocol.S) = struct
   module MC = Fault.Mc (P)
 
-  let go ?pack ?inputs ~deadline ~seed ~runs ~kinds ~recover ~max_respawns ()
-      =
+  let go ~props ?inputs ~deadline ~seed ~runs ~kinds ~recover ~max_respawns
+      () =
     let s =
-      MC.campaign ?pack ?inputs ~deadline ~seed ~runs ~kinds ~recover
+      MC.campaign ~props ?inputs ~deadline ~seed ~runs ~kinds ~recover
         ~max_respawns ()
     in
     { header =
@@ -701,57 +677,44 @@ let chaos_cmd =
       recover max_respawns metrics metrics_out =
     let kinds =
       match Fault.kinds_of_string kinds with
-      | Ok [] -> Fmt.failwith "--kinds is empty"
+      | Ok [] -> usage "--kinds is empty"
       | Ok ks -> ks
-      | Error e -> Fmt.failwith "bad --kinds: %s" e
+      | Error e -> usage "bad --kinds: %s" e
+    in
+    (* the pack's declared properties ride along as detection oracles: on
+       the simulator they are monitored on every step (negative tests must
+       trip one of them or the atomicity check, and prop_detections tallies
+       which property caught what); on real domains they are evaluated on
+       every run's final snapshot *)
+    let module A = Pack ((val resolve ~algo ~n ~k ~m ~cap)) in
+    let module P = A.P in
+    let inputs =
+      Option.map
+        (fun s -> parse_inputs ~n:P.n ~m:P.num_inputs (Some s))
+        inputs
+    in
+    (* --recover: draw kill-and-heal plans — appended so the crash of an
+       existing kind list is drawn first and the respawn heals it *)
+    let kinds =
+      if recover && not (List.mem Fault.Respawn_k kinds) then
+        kinds @ [ Fault.Respawn_k ]
+      else kinds
     in
     let out =
       with_metrics ~metrics ~out:metrics_out @@ fun () ->
       match backend with
       | "sim" ->
-        (* --recover: draw kill-and-heal plans — appended so the crash of
-           an existing kind list is drawn first and the respawn heals it *)
-        let kinds =
-          if recover && not (List.mem Fault.Respawn_k kinds) then
-            kinds @ [ Fault.Respawn_k ]
-          else kinds
-        in
-        if algo = "swap-ksa" then (
-          (* Algorithm 1 additionally gets the §4 invariants monitored on
-             every step, as declared properties — the negative tests must
-             trip one of them or the atomicity check, and the summary's
-             prop_detections tallies which property caught what *)
-          let (module P) = Core.Swap_ksa.make ~n ~k ~m in
-          let module C = Chaos_sim (P) in
-          let module M = Core.Swap_ksa_monitor.Make (P) in
-          let inputs =
-            Option.map
-              (fun s -> parse_inputs ~n:P.n ~m:P.num_inputs (Some s))
-              inputs
-          in
-          C.go ~props:M.online_props ?inputs ~burst ~max_steps ~seed ~runs
-            ~kinds ())
-        else
-          let (module P) = protocol_or_usage_error ~algo ~n ~k ~m ~cap in
-          let module C = Chaos_sim (P) in
-          let inputs =
-            Option.map
-              (fun s -> parse_inputs ~n:P.n ~m:P.num_inputs (Some s))
-              inputs
-          in
-          C.go ?inputs ~burst ~max_steps ~seed ~runs ~kinds ()
+        let module C = Chaos_sim (P) in
+        C.go ~props:A.declared ?inputs ~burst ~max_steps ~seed ~runs ~kinds ()
       | "multicore" ->
-        let dropped = List.filter (fun k -> not (Fault.kind_is_benign k)) kinds in
-        let kinds = List.filter Fault.kind_is_benign kinds in
+        let kinds, dropped = List.partition Fault.kind_is_benign kinds in
+        (* the supervisor heals on this backend: respawn needs --recover *)
         let kinds =
-          if recover && not (List.mem Fault.Respawn_k kinds) then
-            kinds @ [ Fault.Respawn_k ]
-          else if not recover then
-            List.filter (fun k -> k <> Fault.Respawn_k) kinds
-          else kinds
+          if recover then kinds
+          else List.filter (fun k -> k <> Fault.Respawn_k) kinds
         in
         if kinds = [] then
-          Fmt.failwith
+          usage
             "--backend multicore supports only benign fault kinds (crash, \
              stall): real atomics cannot be torn";
         if dropped <> [] then
@@ -760,30 +723,10 @@ let chaos_cmd =
              multicore backend@."
             Fmt.(list ~sep:(any ",") (of_to_string Fault.kind_to_string))
             dropped;
-        if algo = "swap-ksa" then (
-          (* under supervision the §4 config invariants double as the
-             cross-recovery-boundary oracle, evaluated on the merged final
-             snapshot *)
-          let (module P) = Core.Swap_ksa.make ~n ~k ~m in
-          let module C = Chaos_mc (P) in
-          let module M = Core.Swap_ksa_monitor.Make (P) in
-          let inputs =
-            Option.map
-              (fun s -> parse_inputs ~n:P.n ~m:P.num_inputs (Some s))
-              inputs
-          in
-          C.go ~pack:M.online_props ?inputs ~deadline ~seed ~runs ~kinds
-            ~recover ~max_respawns ())
-        else
-          let (module P) = protocol_or_usage_error ~algo ~n ~k ~m ~cap in
-          let module C = Chaos_mc (P) in
-          let inputs =
-            Option.map
-              (fun s -> parse_inputs ~n:P.n ~m:P.num_inputs (Some s))
-              inputs
-          in
-          C.go ?inputs ~deadline ~seed ~runs ~kinds ~recover ~max_respawns ()
-      | s -> Fmt.failwith "unknown backend %s (sim, multicore)" s
+        let module C = Chaos_mc (P) in
+        C.go ~props:A.declared ?inputs ~deadline ~seed ~runs ~kinds ~recover
+          ~max_respawns ()
+      | s -> usage "unknown backend %s (sim, multicore)" s
     in
     Fmt.pr "%s@.%s@." out.header out.counters;
     List.iter
@@ -865,7 +808,8 @@ let chaos_cmd =
 let resil_cmd =
   let go algo n k m cap seed inputs runs max_respawns deadline metrics
       metrics_out =
-    let (module P) = protocol_or_usage_error ~algo ~n ~k ~m ~cap in
+    let module A = Pack ((val resolve ~algo ~n ~k ~m ~cap)) in
+    let module P = A.P in
     let module Sup = Supervisor.Make (P) in
     let inputs = parse_inputs ~n:P.n ~m:P.num_inputs inputs in
     let failures = ref [] in
@@ -958,11 +902,8 @@ let resil_cmd =
 let serve_cmd =
   let go algo n k m cap seed clients rounds domains arenas profile recover
       kill_every max_think paranoid metrics metrics_out =
-    let protocol = protocol_or_usage_error ~algo ~n ~k ~m ~cap in
-    let usage msg =
-      Fmt.epr "swapspace: %s@." msg;
-      exit 2
-    in
+    let module A = Pack ((val resolve ~algo ~n ~k ~m ~cap)) in
+    let protocol = (module A.P : Shmem.Protocol.S) in
     if clients < 1 then usage "--clients must be >= 1";
     if rounds < 1 then usage "--rounds must be >= 1";
     if domains < 1 then usage "--domains must be >= 1";
@@ -974,7 +915,7 @@ let serve_cmd =
     let profile =
       match Arena.Loadgen.profile_of_string profile with
       | Ok p -> p
-      | Error msg -> usage msg
+      | Error msg -> usage "%s" msg
     in
     let result =
       with_metrics ~metrics ~out:metrics_out (fun () ->
@@ -1069,18 +1010,8 @@ let serve_cmd =
 (* ------------------------------------------------------------ analyze *)
 
 let analyze_cmd =
-  let go algo n max_configs json space no_certificate no_sym no_por metrics
+  let go entries max_configs json space no_certificate no_sym no_por metrics
       metrics_out =
-    let entries =
-      match algo with
-      | None -> Baselines.Registry.standard ~n ()
-      | Some name -> (
-        match Baselines.Registry.find name ~n with
-        | Ok e -> [ e ]
-        | Error msg ->
-          Fmt.epr "swapspace: %s@." msg;
-          exit 2)
-    in
     if space then begin
       let reports =
         with_metrics ~metrics ~out:metrics_out (fun () ->
@@ -1118,27 +1049,13 @@ let analyze_cmd =
       if not (List.for_all Analyze.ok reports) then exit 1
     end
   in
-  let algo =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "algo"; "a" ] ~docv:"NAME"
-          ~doc:
-            "Registry entry to analyze (prefix match); omitted (or with \
-             $(b,--all)) every registered protocol is analyzed.")
+  let entries =
+    registry_entries
+      ~algo_doc:
+        "Registry entry to analyze (prefix match); omitted (or with \
+         $(b,--all)) every registered protocol is analyzed."
+      ~all_doc:"Analyze every registered protocol (default)."
   in
-  let all =
-    Arg.(
-      value & flag
-      & info [ "all" ] ~doc:"Analyze every registered protocol (default).")
-  in
-  let combine algo all =
-    if all && algo <> None then (
-      Fmt.epr "swapspace: --all and --algo are mutually exclusive@.";
-      exit 2);
-    algo
-  in
-  let algo = Term.(const combine $ algo $ all) in
   let max_configs =
     Arg.(
       value & opt int 20_000
@@ -1186,7 +1103,7 @@ let analyze_cmd =
           the Theorem 10 lower-bound certificate instead. Exit 0 if every \
           check passes, 1 on analysis failure, 2 on usage errors.")
     Term.(
-      const go $ algo $ n $ max_configs $ json $ space $ no_certificate
+      const go $ entries $ max_configs $ json $ space $ no_certificate
       $ no_sym_arg $ no_por_arg $ metrics_arg $ metrics_out_arg)
 
 (* --------------------------------------------------------------- lint *)
@@ -1208,9 +1125,7 @@ let lint_cmd =
              (fun name ->
                match Lint.find_pass name with
                | Ok p -> p
-               | Error msg ->
-                 Fmt.epr "swapspace: %s@." msg;
-                 exit 2)
+               | Error msg -> usage "%s" msg)
              names)
     in
     let filter ps =
@@ -1224,13 +1139,11 @@ let lint_cmd =
           match filter ps with [] -> None | ps -> Some (d, ps))
         (Lint.repo_plan ~root)
     in
-    if plan = [] then begin
-      Fmt.epr
-        "swapspace: no lint targets under %s (expected the repository's \
-         lib/ layout; use --root)@."
+    if plan = [] then
+      usage
+        "no lint targets under %s (expected the repository's lib/ layout; \
+         use --root)"
         root;
-      exit 2
-    end;
     let findings =
       with_metrics ~metrics ~out:metrics_out (fun () -> Lint.run_plan plan)
     in
@@ -1300,11 +1213,21 @@ let () =
     "Obstruction-free consensus and k-set agreement from swap objects \
      (reproduction of Ovens, PODC 2022)."
   in
-  exit
-    (Cmd.eval
-       (Cmd.group
-          (Cmd.info "swapspace" ~version:"1.0.0" ~doc)
-          [ run_cmd; check_cmd; props_cmd; analyze_cmd; lint_cmd; lemma9_cmd
-          ; lb_binary_cmd; lb_bounded_cmd; bounds_cmd; multicore_cmd
-          ; chaos_cmd; resil_cmd; serve_cmd
-          ]))
+  let cmd =
+    Cmd.group
+      (Cmd.info "swapspace" ~version:"1.0.0" ~doc)
+      [ run_cmd; check_cmd; props_cmd; analyze_cmd; lint_cmd; lemma9_cmd
+      ; lb_binary_cmd; lb_bounded_cmd; bounds_cmd; multicore_cmd; chaos_cmd
+      ; resil_cmd; serve_cmd
+      ]
+  in
+  match Cmd.eval ~catch:false cmd with
+  | code when code = Cmd.Exit.cli_error -> exit 2
+  | code -> exit code
+  | exception Usage msg ->
+    Fmt.epr "swapspace: %s@." msg;
+    exit 2
+  | exception e ->
+    Fmt.epr "swapspace: internal error, uncaught exception:@\n%s@."
+      (Printexc.to_string e);
+    exit Cmd.Exit.internal_error

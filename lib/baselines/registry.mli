@@ -30,7 +30,8 @@ type entry = {
       (** the declared properties attached to this algorithm, over the
           {e same} module the [protocol] field packs (unpack the pack first
           and instantiate checkers from its [P] so the types unify — see
-          {!Prop.PACK}).  Algorithm 1 entries carry the §4 invariants
+          {!Prop.PACK}); [protocol] is the pack's [P].  Algorithm 1
+          entries carry the §4 invariants
           ([Core.Swap_ksa_monitor.Make.online_props]); every other entry
           carries {!Prop.generic_pack}'s protocol-independent set.  The
           checker's own built-ins (k-agreement, validity, solo-termination)
@@ -52,6 +53,20 @@ val standard : ?n:int -> unit -> entry list
 (** the standard grid at [n] processes (default 4): Algorithm 1 for k=1 and
     k=2, the register / readable-swap / binary-track (plain, eager, TAS) /
     bitwise / grouped / CAS / one-object algorithms. *)
+
+val resolve :
+  string -> n:int -> k:int -> m:int -> cap:int -> (Prop.pack, string) result
+(** [resolve name ~n ~k ~m ~cap] builds the protocol family the command
+    line calls [name] — one of [swap-ksa], [register-ksa], [readable-swap],
+    [binary-track], [bitwise], [grouped], [cas], [two-proc], [pair-ksa] —
+    at the given parameters (each family reads the ones it takes:
+    [two-proc] ignores [n] and [k], [binary-track] reads only [n] and
+    [cap], and so on), packed with its declared properties: the §4
+    invariants for [swap-ksa], {!Prop.generic_pack}'s set for the rest.
+    The protocol is the pack's [P].  {!standard}'s entries are built from
+    the same per-family constructors.  [Error] names an unknown family
+    (listing the known ones) or carries the constructor's rejection of the
+    parameters (e.g. [swap-ksa] with [k >= n]). *)
 
 val find : string -> n:int -> (entry, string) result
 (** look up a registry entry at a given [n]: an exact name match wins;

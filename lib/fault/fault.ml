@@ -867,7 +867,6 @@ end
 (* Multicore campaigns *)
 
 module Mc (P : Shmem.Protocol.S) = struct
-  module R = Runtime.Make (P)
   module Sup = Supervisor.Make (P)
 
   let m_runs = Obs.counter "fault.mc.runs"
@@ -891,8 +890,8 @@ module Mc (P : Shmem.Protocol.S) = struct
   }
 
   let campaign ?inputs ?max_ops ?(deadline = 10.) ?(record = true)
-      ?(oracles = []) ?(recover = false) ?(max_respawns = 2) ?(pack = [])
-      ~seed ~runs ~kinds () =
+      ?(recover = false) ?(max_respawns = 2) ?(props = []) ~seed ~runs ~kinds
+      () =
     List.iter
       (fun k ->
         if not (kind_is_benign k) then
@@ -928,8 +927,7 @@ module Mc (P : Shmem.Protocol.S) = struct
       let plan =
         gen_plan ~rng ~n:P.n
           ~num_objects:(Array.length P.objects)
-          (if recover then List.filter (fun k -> k <> Respawn_k) kinds
-           else kinds)
+          (List.filter (fun k -> k <> Respawn_k) kinds)
       in
       let inputs =
         match inputs with
@@ -941,93 +939,62 @@ module Mc (P : Shmem.Protocol.S) = struct
       let stalls = stalls plan in
       stalls_injected := !stalls_injected + List.length stalls;
       Obs.Counter.incr m_runs;
-      if recover then begin
-        (* supervised kill-and-heal: round 0 crashes per the plan, and
-           every respawned incarnation is re-killed with probability 1/2
-           at a small operation count, so a single campaign run exercises
-           repeated crash-recovery cycles up to the breaker limit *)
-        let crash_plan ~round ~pid =
-          if round = 0 then (
-            match List.assoc_opt pid crash_at with
-            | Some t ->
-              incr crashes_injected;
-              Some t
-            | None -> None)
-          else if Random.State.bool rng then begin
+      (* round 0 crashes per the plan; under [recover] every respawned
+         incarnation is re-killed with probability 1/2 at a small
+         operation count, so a single campaign run exercises repeated
+         crash-recovery cycles up to the breaker limit *)
+      let crash_plan ~round ~pid =
+        if round = 0 then (
+          match List.assoc_opt pid crash_at with
+          | Some t ->
             incr crashes_injected;
-            Some (Random.State.int rng 32)
-          end
-          else None
-        in
-        let policy =
-          { (Sup.default_policy ()) with
-            max_respawns;
-            round_deadline = Some deadline
-          }
-        in
-        let report =
-          Sup.supervise ~inputs ~seed:(seed + i) ~policy ?max_ops ~record
-            ~crash_plan ~stalls ()
-        in
-        respawns_total :=
-          !respawns_total + Array.fold_left ( + ) 0 report.Sup.respawns;
-        rounds_total := !rounds_total + report.Sup.rounds;
-        total_ops :=
-          !total_ops + Array.fold_left ( + ) 0 report.Sup.outcome.Sup.R.ops;
-        elapsed := !elapsed +. report.Sup.outcome.Sup.R.elapsed;
-        (match Sup.check ~inputs report with
-        | Ok () -> ()
-        | Error detail -> violation i plan ("degraded: " ^ detail));
-        (if record then
-           match Sup.R.check_hb report.Sup.outcome with
-           | Ok (c, s) ->
-             hb_checked := !hb_checked + c;
-             hb_skipped := !hb_skipped + s
-           | Error detail ->
-             violation i plan ("happens-before: " ^ detail));
-        match Sup.check_props pack report with
-        | None -> ()
-        | Some (name, detail) ->
-          Hashtbl.replace prop_tally name
-            (1 + Option.value ~default:0 (Hashtbl.find_opt prop_tally name));
-          violation i plan (Fmt.str "property %s: %s" name detail)
-      end
-      else begin
-        crashes_injected := !crashes_injected + List.length crash_at;
-        let outcome =
-          R.run ~inputs ~seed:(seed + i) ?max_ops ~record ~crash_at ~stalls
-            ~deadline ()
-        in
-        total_ops := !total_ops + Array.fold_left ( + ) 0 outcome.R.ops;
-        elapsed := !elapsed +. outcome.R.elapsed;
-        (match R.check_degraded ~inputs outcome with
-        | Ok () -> ()
-        | Error detail -> violation i plan detail);
-        (* second detector: the vector-clock happens-before pass over the
-           recorded histories — a crash/stall must never tear an atomic
-           exchange, so any violation here is a runtime bug even when the
-           degradation contract still holds *)
-        (if record then
-           match R.check_hb outcome with
-           | Ok (c, s) ->
-             hb_checked := !hb_checked + c;
-             hb_skipped := !hb_skipped + s
-           | Error detail ->
-             violation i plan ("happens-before: " ^ detail));
-        (* third detector: caller-supplied property oracles over the
-           outcome (only benign faults run here, so any oracle failure is
-           a bug) *)
-        List.iter
-          (fun (name, oracle) ->
-            match oracle ~inputs outcome with
-            | Ok () -> ()
-            | Error detail ->
-              Hashtbl.replace prop_tally name
-                (1
-                + Option.value ~default:0 (Hashtbl.find_opt prop_tally name));
-              violation i plan (Fmt.str "property %s: %s" name detail))
-          oracles
-      end
+            Some t
+          | None -> None)
+        else if Random.State.bool rng then begin
+          incr crashes_injected;
+          Some (Random.State.int rng 32)
+        end
+        else None
+      in
+      let policy =
+        { (Sup.default_policy ()) with
+          (* without [recover] the breaker trips on the first failure: the
+             run is one bare round and crashed pids stay crashed *)
+          max_respawns = (if recover then max_respawns else 0);
+          round_deadline = Some deadline
+        }
+      in
+      let report =
+        Sup.supervise ~inputs ~seed:(seed + i) ~policy ?max_ops ~record
+          ~crash_plan ~stalls ()
+      in
+      respawns_total :=
+        !respawns_total + Array.fold_left ( + ) 0 report.Sup.respawns;
+      rounds_total := !rounds_total + report.Sup.rounds;
+      total_ops :=
+        !total_ops + Array.fold_left ( + ) 0 report.Sup.outcome.Sup.R.ops;
+      elapsed := !elapsed +. report.Sup.outcome.Sup.R.elapsed;
+      (* three detectors: the graceful-degradation contract (agreement
+         within k + crashed-incarnations), the vector-clock
+         happens-before pass over the merged histories — a crash, stall
+         or respawn must never tear an atomic exchange — and the declared
+         properties on the final snapshot; only benign faults run here,
+         so any failure is a bug *)
+      (match Sup.check ~inputs report with
+      | Ok () -> ()
+      | Error detail -> violation i plan ("degraded: " ^ detail));
+      (if record then
+         match Sup.R.check_hb report.Sup.outcome with
+         | Ok (c, s) ->
+           hb_checked := !hb_checked + c;
+           hb_skipped := !hb_skipped + s
+         | Error detail -> violation i plan ("happens-before: " ^ detail));
+      match Sup.check_props props report with
+      | None -> ()
+      | Some (name, detail) ->
+        Hashtbl.replace prop_tally name
+          (1 + Option.value ~default:0 (Hashtbl.find_opt prop_tally name));
+        violation i plan (Fmt.str "property %s: %s" name detail)
     done;
     { runs;
       crashes_injected = !crashes_injected;

@@ -5,7 +5,8 @@
     obstruction-free algorithms must tolerate by design: on the simulator
     they compile to the {!Shmem.Exec.Make.with_crashes} /
     [with_stalls] scheduler combinators, and on the multicore runtime to
-    [Runtime.Make.run]'s [~crash_at] / [~stalls] injection points.  The
+    the crash points and stalls of a supervised round
+    ({!Supervisor.Make.supervise}).  The
     three {e object} faults — torn swaps, lost updates and stale reads —
     deliberately break the atomicity the paper {e assumes} of its base
     objects (§2); they exist for negative testing: the §4 monitors and the
@@ -331,7 +332,6 @@ end
     portable OCaml). *)
 
 module Mc (P : Shmem.Protocol.S) : sig
-  module R : module type of Runtime.Make (P)
   module Sup : module type of Supervisor.Make (P)
 
   type finding = { run : int; plan : plan; detail : string }
@@ -342,8 +342,11 @@ module Mc (P : Shmem.Protocol.S) : sig
         (** round-0 plan crashes plus, under [recover], the re-crashes
             injected into respawned incarnations *)
     stalls_injected : int;
-    respawns : int;  (** supervisor respawns across all runs (recover only) *)
-    rounds : int;  (** supervision rounds across all runs (recover only) *)
+    respawns : int;
+        (** supervisor respawns across all runs (0 without [recover]) *)
+    rounds : int;
+        (** supervision rounds across all runs: one per run without
+            [recover], more where respawns happened *)
     total_ops : int;  (** shared-memory operations across all runs *)
     elapsed : float;  (** summed wall-clock seconds of the runs *)
     hb_checked : int;
@@ -351,13 +354,12 @@ module Mc (P : Shmem.Protocol.S) : sig
             checker ({!Runtime.Make.check_hb}) across all recorded runs *)
     hb_skipped : int;  (** histories over the event cap, left unchecked *)
     violations : finding list;
-        (** failures of the graceful-degradation contract
-            ([Runtime.Make.check_degraded]), of the happens-before
-            atomicity check (details prefixed ["happens-before:"]) or of a
-            caller-supplied property oracle (details prefixed
-            ["property <name>:"]): any entry is a bug *)
+        (** failures of the graceful-degradation contract (details
+            prefixed ["degraded:"]), of the happens-before atomicity check
+            (["happens-before:"]) or of a declared property
+            (["property <name>:"]): any entry is a bug *)
     prop_detections : (string * int) list;
-        (** oracle failures per oracle name (sorted) *)
+        (** property failures per property name (sorted) *)
   }
 
   val campaign :
@@ -365,39 +367,36 @@ module Mc (P : Shmem.Protocol.S) : sig
     ?max_ops:int ->
     ?deadline:float ->
     ?record:bool ->
-    ?oracles:
-      (string * (inputs:int array -> R.outcome -> (unit, string) result))
-      list ->
     ?recover:bool ->
     ?max_respawns:int ->
-    ?pack:Prop.Make(P).t list ->
+    ?props:Prop.Make(P).t list ->
     seed:int ->
     runs:int ->
     kinds:kind list ->
     unit ->
     summary
-  (** seeded randomized crash/stall campaigns on the multicore runtime;
-      each run is checked with [check_degraded] (every process decided or
-      was crashed by injection; decided values satisfy k-agreement and
-      validity), and — with [record] (default [true]) — its timestamped
-      histories are checked by the vector-clock happens-before race
-      detector ({!Runtime.Make.check_hb}).  [oracles] are named
-      per-outcome property checks evaluated on every run (real domains
-      expose no per-step hook, so declared properties enter here as outcome
-      predicates); failures are violations, tallied per name in
-      [prop_detections].  Default [deadline] 10s per run.
+  (** seeded randomized crash/stall campaigns on the multicore runtime.
+      Every run goes through {!Supervisor.Make.supervise}: round 0 runs
+      every process with the plan's crash points and stalls under a
+      [deadline] watchdog (default 10 s), and each run is checked three
+      ways — the supervisor's degraded contract ([Sup.check]: every
+      process decided or was crashed by injection, decided values within
+      [k + crashed-incarnations]-agreement and validity), the
+      vector-clock happens-before race detector over the merged histories
+      ({!Runtime.Make.check_hb}; with [record], default [true]), and the
+      [props] on the final snapshot ([Sup.check_props]; real domains
+      expose no per-step hook, so step relations and automata are not
+      replayed).  Property failures are tallied per name in
+      [prop_detections].
 
-      [recover] (default [false]) runs every plan {e supervised}
-      ({!Supervisor.Make.supervise}): crashed processes are respawned
-      through [Protocol.S.recovery] on fresh domains against the same
-      arena, each respawned incarnation is re-killed with probability 1/2
-      (up to [max_respawns] per pid, default 2), and each run is checked
-      with the supervisor's degraded contract ([Sup.check]: agreement
-      within [k + crashed-incarnations]), the happens-before checker over
-      the {e merged} cross-boundary histories, and the [pack] properties
-      on the merged final snapshot ([Sup.check_props]).  [oracles] are
-      skipped under [recover] (they are typed against single-round
-      outcomes); [Respawn_k] in [kinds] is accepted and ignored — the
+      [recover] (default [false]) sets the supervisor's respawn budget:
+      without it the budget is 0, so a run is one bare round, crashed
+      pids stay crashed and the agreement bound stays [k].  With it,
+      crashed processes are respawned through [Protocol.S.recovery] on
+      fresh domains against the same arena, each respawned incarnation is
+      re-killed with probability 1/2, up to [max_respawns] per pid
+      (default 2), and the bound degrades by one per crashed incarnation.
+      [Respawn_k] in [kinds] is accepted and ignored under [recover] — the
       supervisor owns healing on this backend.
       @raise Invalid_argument if [kinds] contains an object-fault kind, or
       [Respawn_k] without [recover] *)

@@ -251,6 +251,116 @@ let test_registry_find_unknown () =
       (contains e "unknown" && contains e "pair-ksa")
   | Ok name -> Alcotest.failf "unknown name resolved to %S" name
 
+let sec4 =
+  [ "lap-domination"
+  ; "decide-lead-by-2"
+  ; "max-lap-increment"
+  ; "total-config-domination"
+  ]
+
+let generic = [ "k-agreement" ]
+
+let pack_names pack =
+  List.map (fun (s : Prop.spec) -> s.Prop.name) (Prop.pack_specs pack)
+
+(* every name [-a] accepts, pinned to the protocol name and declared
+   properties it selects (n=4, m=2, cap=48; k=1 except grouped, whose
+   constructor needs n <= 2k) *)
+let resolved =
+  [ "swap-ksa", 1, "swap-ksa(n=4,k=1,m=2)", sec4
+  ; "register-ksa", 1, "register-ksa(n=4,k=1,m=2)", generic
+  ; "readable-swap", 1, "readable-swap-consensus(n=4,m=2)", generic
+  ; "binary-track", 1, "binary-track(n=4,cap=48)", generic
+  ; "bitwise", 1, "bitwise[binary-track(n=4,cap=48)](n=4,m=2)", generic
+  ; "grouped", 2, "grouped-ksa(n=4,k=2,m=2)", generic
+  ; "cas", 1, "cas-consensus(n=4,m=2)", generic
+  ; "two-proc", 1, "two-proc-swap(m=2)", generic
+  ; "pair-ksa", 1, "pair-ksa(n=4,m=2)", generic
+  ]
+
+let test_resolve_names () =
+  List.iter
+    (fun (algo, k, name, props) ->
+      match Baselines.Registry.resolve algo ~n:4 ~k ~m:2 ~cap:48 with
+      | Error e -> Alcotest.failf "%s did not resolve: %s" algo e
+      | Ok pack ->
+        let (module Pk : Prop.PACK) = pack in
+        Alcotest.(check string) (algo ^ " protocol") name Pk.P.name;
+        Alcotest.(check (list string)) (algo ^ " props") props
+          (pack_names pack))
+    resolved
+
+let test_resolve_errors () =
+  let rejects what r =
+    match r with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s resolved" what
+  in
+  (match Baselines.Registry.resolve "nonesuch" ~n:4 ~k:1 ~m:2 ~cap:48 with
+  | Error e ->
+    Alcotest.(check bool)
+      "message lists the known names" true
+      (contains e "unknown" && contains e "pair-ksa")
+  | Ok _ -> Alcotest.fail "unknown name resolved");
+  rejects "swap-ksa n=3 k=3"
+    (Baselines.Registry.resolve "swap-ksa" ~n:3 ~k:3 ~m:2 ~cap:48);
+  rejects "grouped n=4 k=1"
+    (Baselines.Registry.resolve "grouped" ~n:4 ~k:1 ~m:2 ~cap:48)
+
+(* the standard grid, pinned:
+   (n, name, stated_objects, burst, solo_bound, multicore_runnable,
+   declared properties) *)
+let standard_grid =
+  let rows n ~swap1 ~swap2 ~register ~readable =
+    [ n, "swap-ksa k=1", "n-1 (optimal)", 2 * swap1, Some swap1, true, sec4
+    ; n, "swap-ksa k=2", "n-k", 2 * swap2, Some swap2, true, sec4
+    ; n, "register-ksa k=1", "n-k+1", register, None, true, generic
+    ; n, "readable-swap", "n-1", readable, None, true, generic
+    ; n, "binary-track", "2n-1 binary [17]", 384, None, false, generic
+    ; n, "binary-track eager", "2n-1 binary [17]", 384, None, false, generic
+    ; n, "tas-track", "unbounded TAS [16]", 384, None, false, generic
+    ; n, "bitwise", "O(n log m) binary", 768, None, false, generic
+    ; n, "grouped-ksa", "k (n <= 2k)", 4, None, true, generic
+    ; n, "cas", "1 (not historyless)", 4, None, true, generic
+    ; n, "pair-ksa", "1", 4, None, true, generic
+    ]
+  in
+  rows 3 ~swap1:16 ~swap2:8 ~register:128 ~readable:96
+  @ rows 4 ~swap1:24 ~swap2:16 ~register:200 ~readable:128
+  @ rows 5 ~swap1:32 ~swap2:24 ~register:288 ~readable:160
+
+let test_standard_grid () =
+  let show (n, name, stated, burst, solo, mc, props) =
+    Fmt.str "n=%d %S %S burst=%d solo=%a mc=%b [%s]" n name stated burst
+      Fmt.(option ~none:(any "-") int)
+      solo mc (String.concat ";" props)
+  in
+  let actual =
+    List.concat_map
+      (fun n ->
+        List.map
+          (fun (e : Baselines.Registry.entry) ->
+            show
+              ( n,
+                e.name,
+                e.stated_objects,
+                e.burst,
+                e.solo_bound,
+                e.multicore_runnable,
+                pack_names e.props ))
+          (Baselines.Registry.standard ~n ()))
+      [ 3; 4; 5 ]
+  in
+  Alcotest.(check (list string))
+    "standard entries" (List.map show standard_grid) actual;
+  (* an entry's protocol is its pack's [P] *)
+  List.iter
+    (fun (e : Baselines.Registry.entry) ->
+      let (module P : Shmem.Protocol.S) = e.protocol in
+      let (module Pk : Prop.PACK) = e.props in
+      Alcotest.(check string) (e.name ^ " protocol = pack") Pk.P.name P.name)
+    (Baselines.Registry.standard ~n:4 ())
+
 let () =
   Alcotest.run "baselines"
     [ ( "register-ksa",
@@ -311,5 +421,9 @@ let () =
             test_registry_find_ambiguous_prefix
         ; Alcotest.test_case "unknown name is an error" `Quick
             test_registry_find_unknown
+        ; Alcotest.test_case "resolve every -a name" `Quick
+            test_resolve_names
+        ; Alcotest.test_case "resolve errors" `Quick test_resolve_errors
+        ; Alcotest.test_case "standard grid n=3..5" `Quick test_standard_grid
         ] )
     ]

@@ -400,12 +400,12 @@ let test_mc_rejects_respawn_without_recover () =
 let test_mc_supervised_campaign () =
   (* supervised kill-and-heal on real domains: crashed pids come back on
      fresh domains against the same arena; every run must satisfy the
-     degraded contract, the cross-boundary HB check and the prop pack *)
+     degraded contract, the cross-boundary HB check and the §4 props *)
   let (module P) = mk_swap_ksa () in
   let module Mc = Fault.Mc (P) in
   let module M = Core.Swap_ksa_monitor.Make (P) in
   let s =
-    Mc.campaign ~pack:M.online_props ~seed:4 ~runs:4
+    Mc.campaign ~props:M.online_props ~seed:4 ~runs:4
       ~kinds:Fault.recovery_kinds ~recover:true ()
   in
   Alcotest.(check int) "4 runs" 4 s.Mc.runs;

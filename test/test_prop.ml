@@ -2,9 +2,9 @@
 
    - combinator unit tests (invariant / step relation / automaton /
      leads_to_within / product / select, the linear-run monitor);
-   - differential tests proving the layer agrees verdict-for-verdict with
-     the legacy raising monitor (Core.Swap_ksa_monitor.check_step) on
-     seeded random runs, and with the checker's built-in hooks on full
+   - differential tests proving the linear-run monitor agrees
+     verdict-for-verdict with per-property evaluation on seeded random
+     runs, and the checker with its built-in hooks on full
      explorations at n = 3..5 with and without symmetry / partial-order
      reduction;
    - planted mutant protocols, one per §4 property, proving every declared
@@ -215,13 +215,15 @@ let test_obs_counters () =
         (Obs.Counter.value violated = v0 + 1))
 
 (* ------------------------------------------------------------------ *)
-(* Differential: property layer vs the legacy raising monitor          *)
+(* Differential: linear monitor vs per-property evaluation             *)
 (* ------------------------------------------------------------------ *)
 
-(* Step through seeded random runs, asking the legacy façade and the
-   property layer the same question at every transition; the verdicts must
-   agree exactly (on Algorithm 1 both always say "fine", and the equality
-   check does not assume that). *)
+(* Step through seeded random runs, asking the linear monitor
+   ([Pr.advance] over the §4 online properties) and each property on its
+   own ([Pr.eval_step], then [Pr.eval_config] on the after-snapshot, in
+   property order) the same question at every transition; the verdicts
+   must agree exactly (on Algorithm 1 both always say "fine", and the
+   equality check does not assume that). *)
 let test_differential_monitor () =
   List.iter
     (fun (n, k, m) ->
@@ -229,14 +231,11 @@ let test_differential_monitor () =
       let module M = Core.Swap_ksa_monitor.Make (P) in
       let module Pr = Prop.Make (P) in
       let module E = M.E in
-      let snap (c : E.config) : Pr.snap =
-        { Pr.states = c.E.states; mem = c.E.mem }
-      in
       for seed = 0 to 9 do
         let rng = Random.State.make [| 0x9a0b; seed; n; k; m |] in
         let inputs = Array.init n (fun _ -> Random.State.int rng m) in
         let c = ref (E.initial ~inputs) in
-        let mon, at_init = Pr.start M.online_props (snap !c) in
+        let mon, at_init = Pr.start M.online_props (M.snap !c) in
         Alcotest.(check bool) "clean at init" true (at_init = None);
         let steps = ref 0 in
         let continue = ref true in
@@ -248,26 +247,22 @@ let test_differential_monitor () =
               List.nth enabled (Random.State.int rng (List.length enabled))
             in
             let c', _ = E.step !c pid in
-            let legacy =
-              match M.check_step !c pid c' with
-              | () -> None
-              | exception Core.Swap_ksa_monitor.Invariant_violation d ->
-                Some d
-            in
-            let declared =
+            let before = M.snap !c and after = M.snap c' in
+            let per_property =
               List.find_map
                 (fun p ->
-                  Pr.eval_step p ~before:(snap !c) ~pid ~after:(snap c'))
-                M.step_props
+                  match Pr.eval_step p ~before ~pid ~after with
+                  | Some d -> Some (Pr.name p, d)
+                  | None ->
+                    Option.map (fun d -> Pr.name p, d) (Pr.eval_config p after))
+                M.online_props
             in
-            Alcotest.(check (option string))
-              (Fmt.str "seed %d step %d: façade = declared" seed !steps)
-              legacy declared;
-            (match Pr.advance mon ~before:(snap !c) ~pid ~after:(snap c') with
-            | None -> ()
-            | Some (name, d) ->
-              Alcotest.failf "linear monitor fired on Algorithm 1: %s: %s"
-                name d);
+            let linear = Pr.advance mon ~before ~pid ~after in
+            Alcotest.(check (option (pair string string)))
+              (Fmt.str "seed %d step %d: linear = per-property" seed !steps)
+              per_property linear;
+            Alcotest.(check (option (pair string string)))
+              "Algorithm 1 satisfies the §4 properties" None linear;
             c := c';
             incr steps
         done
@@ -602,27 +597,46 @@ let test_fault_campaign_tally () =
   Alcotest.(check (list (pair string int)))
     "§4 properties hold under object faults" [] real.F3.prop_detections
 
+(* Declared properties on real domains: every campaign run, bare or
+   supervised, evaluates the properties on its final snapshot.  An
+   always-violated invariant is reported once per run and tallied by name;
+   the §4 pack holds on Algorithm 1 under crashes and stalls without
+   supervision too. *)
 let test_mc_oracles () =
   let module P = (val mk ~n:3 ~k:1 ~m:2) in
   let module F = Fault.Mc (P) in
-  let flaky = ref 0 in
-  let oracles =
-    [ "always-happy", (fun ~inputs:_ _ -> Ok ())
-    ; ( "always-grumpy",
-        fun ~inputs:_ _ ->
-          incr flaky;
-          Error "unconditionally rejected" )
-    ]
+  let module Pr = Prop.Make (P) in
+  let module M = Core.Swap_ksa_monitor.Make (P) in
+  List.iter
+    (fun recover ->
+      let grumpy = ref 0 in
+      let props =
+        [ Pr.always ~name:"always-happy" (fun _ -> true)
+        ; Pr.always ~name:"always-grumpy" (fun _ ->
+              incr grumpy;
+              false)
+        ]
+      in
+      let summary =
+        F.campaign ~props ~recover ~max_ops:20_000 ~seed:3 ~runs:2 ~kinds:[]
+          ()
+      in
+      let label what = Fmt.str "%s (recover %b)" what recover in
+      Alcotest.(check int) (label "grumpy invariant ran once per run") 2
+        !grumpy;
+      Alcotest.(check (list (pair string int)))
+        (label "failures tallied per property")
+        [ "always-grumpy", 2 ]
+        summary.F.prop_detections;
+      Alcotest.(check int) (label "each failure is a violation") 2
+        (List.length summary.F.violations))
+    [ false; true ];
+  let s =
+    F.campaign ~props:M.online_props ~seed:5 ~runs:4
+      ~kinds:Fault.benign_kinds ()
   in
-  let summary =
-    F.campaign ~oracles ~max_ops:20_000 ~seed:3 ~runs:2 ~kinds:[] ()
-  in
-  Alcotest.(check int) "grumpy oracle ran per run" 2 !flaky;
-  Alcotest.(check (list (pair string int))) "failures tallied per oracle"
-    [ "always-grumpy", 2 ]
-    summary.F.prop_detections;
-  Alcotest.(check int) "each failure is a violation" 2
-    (List.length summary.F.violations)
+  Alcotest.(check (list string)) "§4 pack clean without supervision" []
+    (List.map (fun (f : F.finding) -> f.F.detail) s.F.violations)
 
 (* ------------------------------------------------------------------ *)
 (* Registry packs                                                      *)
@@ -677,7 +691,7 @@ let () =
         ; Alcotest.test_case "obs counters" `Quick test_obs_counters
         ] )
     ; ( "differential",
-        [ Alcotest.test_case "vs legacy monitor (random runs)" `Quick
+        [ Alcotest.test_case "linear monitor vs eval_step" `Quick
             test_differential_monitor
         ; Alcotest.test_case "vs checker built-ins (n=3..5, ±sym/±por)"
             `Slow test_differential_checker
