@@ -494,6 +494,19 @@ module Make (P : Sh.Protocol.S) = struct
         }
       else
         Obs.Span.time sp_serve (fun () ->
+            (* the caller takes the first admission and drives its first
+               round as slot 0 before any domain is spawned, so the first
+               decision does not wait for [Domain.spawn]; a kill here heals
+               through [on_crash] like any worker's, re-queuing the round
+               on slot 0 for a worker to adopt *)
+            admit ();
+            (match next_round 0 with
+            | Some r -> (
+              let rng = Random.State.make [| seed; 0xA12E4A; 0; -1 |] in
+              match drive ~wslot:0 ~rng r with
+              | () -> ()
+              | exception e -> on_crash ~slot:0 ~incarnation:0 e)
+            | None -> ());
             Supervisor.Pool.run ~workers ~max_respawns ~on_crash worker)
     in
     let elapsed = Resil.Clock.elapsed_s ~since in

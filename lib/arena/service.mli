@@ -26,12 +26,16 @@
       of its round on its own domain through [R.arena_apply].  Because a
       round has exactly one driver, each member's window is a solo run
       and obstruction-freedom guarantees decision.  Idle workers steal
-      queued rounds from other slots.
+      queued rounds from other slots.  The calling thread takes the first
+      admission and drives its first round itself, as slot 0, before the
+      pool spawns anything, so the first decision does not wait for a
+      domain to start; it then parks while the pool runs.
 
     - {b Kill-and-heal chaos.}  An optional [kill] plan (see
       [Fault.service_kill_plan]) names an operation count at which the
       incarnation driving a round dies (an exception through the worker,
-      healing via [Supervisor.Pool]'s [on_crash]: the orphaned round is
+      or through the caller for the first round, healing via
+      [Supervisor.Pool]'s [on_crash]: the orphaned round is
       re-queued and {e adopted} by the next incarnation, members rebuilt
       through [P.recovery] against the dirty arena).  Every killed
       incarnation that touched memory degrades that round's agreement

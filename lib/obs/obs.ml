@@ -232,23 +232,39 @@ end
 
 (* ---------------------------------------------------------- primitives *)
 
-(* power-of-two buckets: bucket 0 holds value 0 (and clamped negatives),
-   bucket i >= 1 holds [2^(i-1), 2^i - 1].  63 buckets cover the whole
-   non-negative int range. *)
-let nbuckets = 63
+(* log-linear buckets, 16 per power of two: values 0..15 each have a
+   bucket of their own; a value v >= 16 whose top bit is bit e falls in
+   group e - 4, split into 16 equal sub-buckets by the 4 bits below the
+   top one.  A bucket's width is at most 1/16 of its lower edge, so an
+   upper edge overstates any value in it by at most 6.25%.  Groups for
+   e = 4..61 cover the whole non-negative int range. *)
+let sub_bits = 4
+let sub_count = 1 lsl sub_bits
+let nbuckets = sub_count + ((Sys.int_size - 1 - sub_bits) * sub_count)
+
+(* index of the highest set bit of [v > 0] *)
+let top_bit v =
+  let v = ref v and e = ref 0 in
+  while !v > 1 do
+    v := !v lsr 1;
+    incr e
+  done;
+  !e
 
 let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let v = ref v and i = ref 0 in
-    while !v <> 0 do
-      v := !v lsr 1;
-      incr i
-    done;
-    !i
-  end
+  if v < sub_count then max v 0
+  else
+    let e = top_bit v in
+    let sub = (v lsr (e - sub_bits)) land (sub_count - 1) in
+    sub_count + ((e - sub_bits) * sub_count) + sub
 
-let bucket_upper i = if i = 0 then 0 else (1 lsl i) - 1
+let bucket_upper i =
+  if i < sub_count then i
+  else
+    let g = (i - sub_count) / sub_count in
+    let sub = (i - sub_count) mod sub_count in
+    let width = 1 lsl g in
+    ((sub_count + sub) * width) + width - 1
 
 (* monotonic max over an atomic: the witnessed value only grows, so the
    retry loop makes progress; cpu_relax between attempts keeps a contended

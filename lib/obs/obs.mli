@@ -79,9 +79,11 @@ end
 
 module Histogram : sig
   type t
-  (** power-of-two bucketed distribution of non-negative ints: bucket 0
-      holds value 0, bucket [i >= 1] holds [2^(i-1) .. 2^i - 1].  Negative
-      observations clamp to 0. *)
+  (** log-linear bucketed distribution of non-negative ints: values
+      [0 .. 15] have a bucket each, and every power-of-two range
+      [2^e .. 2^(e+1) - 1] above them is split into 16 equal buckets, so
+      a bucket's upper edge overstates any value in it by at most 6.25%.
+      Negative observations clamp to 0. *)
 
   val observe : t -> int -> unit
   val count : t -> int
@@ -156,7 +158,7 @@ val quantile : dist -> float -> int
 
 val mean : dist -> float
 
-(** An always-on histogram with a single owner: the same power-of-two
+(** An always-on histogram with a single owner: the same log-linear
     buckets as {!Histogram}, in plain mutable fields.  It ignores the
     global switch, so it records whether or not metrics are enabled, and
     it touches no atomic, so it belongs on one domain (or behind a lock).

@@ -232,15 +232,19 @@ end
    domain with an incremented incarnation — paced by the same
    [Resil.Policy] pieces (a per-slot circuit breaker caps respawns).
    The supervising thread never blocks in [Domain.join] while workers
-   are live: each worker publishes its own termination through a
-   lock-free exchange channel, so a crash in slot 3 is healed even while
-   slot 0 is still running.  [on_crash] runs on the supervising thread
-   before the respawn — the hook through which a service re-queues
-   whatever round the dead incarnation had in flight. *)
+   are live: each worker pushes its own termination onto a mutex-guarded
+   event list and signals a condition, so a crash in slot 3 is healed
+   even while slot 0 is still running.  Between events the supervisor
+   is parked on that condition rather than spinning: with [workers] =
+   nproc a spinning supervisor holds a core the workers need.
+   [on_crash] runs on the supervising thread before the respawn — the
+   hook through which a service re-queues whatever round the dead
+   incarnation had in flight. *)
 
 module Pool = struct
   let m_pool_respawns = Obs.counter "resil.pool.respawns"
   let m_pool_gave_up = Obs.counter "resil.pool.gave_up"
+  let m_pool_parks = Obs.counter "resil.pool.parks"
 
   type report = {
     respawns : int array;
@@ -256,16 +260,29 @@ module Pool = struct
     let breaker =
       Resil.Policy.Breaker.create ~threshold:(max_respawns + 1) ~n:workers
     in
-    (* termination channel: workers push, the supervisor exchanges the
-       whole list out — the consensus-from-swap idiom applied to its own
-       plumbing *)
-    let events : (int * int * exn option) list Atomic.t = Atomic.make [] in
+    (* termination channel: workers push under [lock] and signal [wake];
+       the supervisor takes the whole list under the same lock, so a push
+       that lands between its emptiness test and its wait cannot be
+       missed *)
+    let lock = Mutex.create () in
+    let wake = Condition.create () in
+    let events : (int * int * exn option) list ref = ref [] in
     let push ev =
-      let rec go () =
-        let old = Atomic.get events in
-        if not (Atomic.compare_and_set events old (ev :: old)) then go ()
-      in
-      go ()
+      Mutex.lock lock;
+      events := ev :: !events;
+      Condition.signal wake;
+      Mutex.unlock lock
+    in
+    let take () =
+      Mutex.lock lock;
+      while List.is_empty !events do
+        Obs.Counter.incr m_pool_parks;
+        Condition.wait wake lock
+      done;
+      let evs = !events in
+      events := [];
+      Mutex.unlock lock;
+      List.rev evs
     in
     let spawn slot incarnation =
       Domain.spawn (fun () ->
@@ -282,30 +299,27 @@ module Pool = struct
     let gave_up = ref [] in
     let crashes = ref [] in
     while !live > 0 do
-      match Atomic.exchange events [] with
-      | [] -> Domain.cpu_relax ()
-      | evs ->
-        List.iter
-          (fun (slot, incarnation, res) ->
-            match res with
-            | None -> decr live
-            | Some e ->
-              crashes := (slot, incarnation, Printexc.to_string e) :: !crashes;
-              Resil.Policy.Breaker.record_failure breaker ~pid:slot;
-              (match on_crash with
-              | Some f -> f ~slot ~incarnation e
-              | None -> ());
-              if Resil.Policy.Breaker.tripped breaker ~pid:slot then begin
-                Obs.Counter.incr m_pool_gave_up;
-                gave_up := slot :: !gave_up;
-                decr live
-              end
-              else begin
-                respawns.(slot) <- respawns.(slot) + 1;
-                Obs.Counter.incr m_pool_respawns;
-                domains := spawn slot (incarnation + 1) :: !domains
-              end)
-          (List.rev evs)
+      List.iter
+        (fun (slot, incarnation, res) ->
+          match res with
+          | None -> decr live
+          | Some e ->
+            crashes := (slot, incarnation, Printexc.to_string e) :: !crashes;
+            Resil.Policy.Breaker.record_failure breaker ~pid:slot;
+            (match on_crash with
+            | Some f -> f ~slot ~incarnation e
+            | None -> ());
+            if Resil.Policy.Breaker.tripped breaker ~pid:slot then begin
+              Obs.Counter.incr m_pool_gave_up;
+              gave_up := slot :: !gave_up;
+              decr live
+            end
+            else begin
+              respawns.(slot) <- respawns.(slot) + 1;
+              Obs.Counter.incr m_pool_respawns;
+              domains := spawn slot (incarnation + 1) :: !domains
+            end)
+        (take ())
     done;
     List.iter Domain.join !domains;
     { respawns;

@@ -118,10 +118,12 @@ end
     not any single round.  [Pool.run] spawns one domain per slot and
     respawns a slot on a fresh domain (incarnation + 1) whenever its body
     raises, until the slot's circuit breaker trips ([max_respawns]
-    failures).  Termination events flow through a lock-free exchange
-    channel, so the supervisor heals any slot promptly instead of
-    blocking in [Domain.join] on another; all domains are joined before
-    [run] returns. *)
+    failures).  Each worker pushes its termination or crash onto a
+    mutex-guarded event list and signals a condition; between events the
+    calling thread is parked on that condition, so it holds no core while
+    the workers run, and it heals any slot promptly instead of blocking
+    in [Domain.join] on another.  All domains are joined before [run]
+    returns. *)
 module Pool : sig
   type report = {
     respawns : int array;  (** per slot *)
@@ -144,7 +146,9 @@ module Pool : sig
       decision — the hook through which a service recovers whatever work
       the dead incarnation had in flight.  [max_respawns] (default 2) is
       the per-slot breaker budget; 0 disables respawning.  Metrics:
-      [resil.pool.respawns], [resil.pool.gave_up].
+      [resil.pool.respawns], [resil.pool.gave_up], and
+      [resil.pool.parks] (each time the caller blocks waiting for an
+      event).
       @raise Invalid_argument unless [workers >= 1] and
       [max_respawns >= 0] *)
 end

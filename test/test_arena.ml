@@ -199,6 +199,87 @@ let test_pool_gives_up () =
   Alcotest.(check int) "both incarnations recorded" 2
     (List.length report.crashes)
 
+(* [within ~seconds what f] runs [f] on a helper domain and fails if it
+   has not returned after [seconds]: a supervisor that misses a wakeup
+   hangs rather than raising, and the helper is left behind when the test
+   executable exits *)
+let within ~seconds what f =
+  let result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set result
+          (Some (match f () with v -> Ok v | exception e -> Error e)))
+  in
+  let since = Resil.Clock.now_ns () in
+  let rec wait () =
+    match Atomic.get result with
+    | Some r ->
+      Domain.join d;
+      (match r with Ok v -> v | Error e -> raise e)
+    | None ->
+      if Resil.Clock.elapsed_s ~since > seconds then
+        Alcotest.failf "%s: still running after %.0f s" what seconds
+      else begin
+        Unix.sleepf 0.001;
+        wait ()
+      end
+  in
+  wait ()
+
+let test_pool_heals_late_crash_while_parked () =
+  (* slot 0 raises only once the other two slots have returned and the
+     supervisor has had time to park on its condition: the crash must
+     still wake it, run [on_crash], respawn the slot and be recorded *)
+  let parks = Obs.counter "resil.pool.parks" in
+  let parks0 = Obs.Counter.value parks in
+  Obs.enable ();
+  let returned = Atomic.make 0 in
+  let healed = Arena.Intake.create () in
+  let report =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        within ~seconds:20. "late crash" (fun () ->
+            Supervisor.Pool.run ~workers:3 ~max_respawns:1
+              ~on_crash:(fun ~slot ~incarnation _ ->
+                Arena.Intake.push healed (slot, incarnation))
+              (fun ~slot ~incarnation ->
+                if slot <> 0 then Atomic.incr returned
+                else if incarnation = 0 then begin
+                  while Atomic.get returned < 2 do
+                    Domain.cpu_relax ()
+                  done;
+                  Unix.sleepf 0.05;
+                  failwith "late"
+                end)))
+  in
+  Alcotest.(check (list (pair int int)))
+    "on_crash saw the late crash" [ (0, 0) ] (Arena.Intake.drain healed);
+  Alcotest.(check (array int)) "slot 0 respawned once" [| 1; 0; 0 |]
+    report.respawns;
+  Alcotest.(check (list int)) "nobody gave up" [] report.gave_up;
+  Alcotest.(check (list (triple int int string)))
+    "crashes exact"
+    [ (0, 0, Printexc.to_string (Failure "late")) ]
+    report.crashes;
+  Alcotest.(check bool) "the supervisor parked" true
+    (Obs.Counter.value parks > parks0)
+
+let test_pool_no_lost_wakeup () =
+  (* back-to-back pools with trivial bodies: every termination races the
+     supervisor's emptiness test and its wait, and every run returns *)
+  let runs = 1_000 in
+  let finished =
+    within ~seconds:60. "back-to-back pools" (fun () ->
+        let finished = ref 0 in
+        for _ = 1 to runs do
+          let r =
+            Supervisor.Pool.run ~workers:3 (fun ~slot:_ ~incarnation:_ -> ())
+          in
+          if r.respawns = [| 0; 0; 0 |] && r.crashes = [] then incr finished
+        done;
+        !finished)
+  in
+  Alcotest.(check int) "every run returned cleanly" runs finished
+
 let test_pool_validation () =
   (try
      ignore (Supervisor.Pool.run ~workers:0 (fun ~slot:_ ~incarnation:_ -> ()));
@@ -354,6 +435,47 @@ let test_escalation_matches_degraded_bound () =
   Alcotest.(check bool) "bound semantics agree with check_degraded" true
     (s.S.max_bound = P.k + 1)
 
+(* ------------------------------- service: the caller-driven first round *)
+
+let test_caller_round_killed () =
+  let (module P) = mk_swap_ksa () in
+  let module S = Arena.Service.Make (P) in
+  (* only incarnation 0 of round 0 dies: the first admitted round, which
+     the calling thread drives before the pool spawns any worker *)
+  let kill ~round ~incarnation =
+    if round = 0 && incarnation = 0 then Some 2 else None
+  in
+  let run ~workers ~rounds =
+    let s =
+      S.serve ~clients:12 ~rounds ~workers ~seed:17 ~arenas:4 ~kill
+        ~paranoid:true ()
+    in
+    let what = Fmt.str "workers %d, rounds %d" workers rounds in
+    Alcotest.(check int) (what ^ ": target met") rounds s.S.rounds_done;
+    Alcotest.(check int) (what ^ ": one kill") 1 s.S.kills;
+    Alcotest.(check int) (what ^ ": adopted exactly once") 1 s.S.adoptions;
+    Alcotest.(check int) (what ^ ": no violations") 0 s.S.violation_count;
+    (match s.S.conservation with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: conservation: %s" what e);
+    Alcotest.(check bool) (what ^ ": summary ok") true (S.ok s);
+    s.S.digest
+  in
+  (* 12 clients, rounds of 3, 4 arenas, 4 rounds: the caller's first
+     admission issues every round, so the schedule is the same whatever
+     the worker count *)
+  let digests =
+    List.concat_map
+      (fun workers -> [ run ~workers ~rounds:4; run ~workers ~rounds:4 ])
+      [ 1; 2 ]
+  in
+  List.iter
+    (fun d -> Alcotest.(check int) "same digest" (List.hd digests) d)
+    digests;
+  Alcotest.(check int) "single worker, longer run: same digest"
+    (run ~workers:1 ~rounds:60)
+    (run ~workers:1 ~rounds:60)
+
 (* --------------------------------------------------------- loadgen *)
 
 let test_loadgen_profiles () =
@@ -451,6 +573,9 @@ let () =
         ; Alcotest.test_case "respawns until success" `Quick
             test_pool_respawns_until_success
         ; Alcotest.test_case "breaker gives up" `Quick test_pool_gives_up
+        ; Alcotest.test_case "late crash heals while parked" `Quick
+            test_pool_heals_late_crash_while_parked
+        ; Alcotest.test_case "no lost wakeup" `Quick test_pool_no_lost_wakeup
         ; Alcotest.test_case "validation" `Quick test_pool_validation
         ] )
     ; ( "service",
@@ -465,6 +590,8 @@ let () =
             test_stealing_conserves_clients
         ; Alcotest.test_case "escalation matches degraded bound" `Quick
             test_escalation_matches_degraded_bound
+        ; Alcotest.test_case "caller-driven round killed and adopted" `Quick
+            test_caller_round_killed
         ] )
     ; ( "loadgen",
         [ Alcotest.test_case "profiles" `Quick test_loadgen_profiles

@@ -189,6 +189,35 @@ let test_quantile_exact_small () =
   Alcotest.(check int) "empty dist" 0
     (Obs.quantile (dist_of_observations []) 0.5)
 
+let test_quantile_p50_accurate () =
+  (* log-linear buckets: the p50 of 1..1000 reads within 6.25% of 500,
+     in the shared histogram and in the single-owner one alike *)
+  let vs = List.init 1000 (fun i -> i + 1) in
+  let near what got =
+    Alcotest.(check bool)
+      (Fmt.str "%s p50 %d within 6.25%% of 500" what got)
+      true
+      (Float.abs (float_of_int got -. 500.) <= 0.0625 *. 500.)
+  in
+  near "Histogram" (Obs.quantile (dist_of_observations vs) 0.5);
+  let h = Obs.Local_histogram.create () in
+  List.iter (Obs.Local_histogram.observe h) vs;
+  near "Local_histogram" (int_of_float (Obs.Local_histogram.quantile h 0.5))
+
+let qcheck_quantile_relative_error =
+  QCheck.Test.make ~name:"quantile overstates the exact one by < 6.25%"
+    ~count:200
+    QCheck.(pair (list_of_size Gen.(int_range 1 200) (int_bound 50_000_000))
+              (float_bound_inclusive 1.))
+    (fun (vs, q) ->
+      let d = dist_of_observations vs in
+      let sorted = Array.of_list (List.sort compare vs) in
+      let n = Array.length sorted in
+      let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
+      let exact = sorted.(rank - 1) in
+      let got = Obs.quantile d q in
+      got >= exact && float_of_int got <= float_of_int exact *. 1.0625)
+
 (* ---------------------------------------------------------------- json *)
 
 let qcheck_snapshot_roundtrip =
@@ -325,6 +354,9 @@ let () =
         [ q qcheck_quantile_monotone
         ; Alcotest.test_case "small exact cases" `Quick
             test_quantile_exact_small
+        ; Alcotest.test_case "p50 of 1..1000 within 6.25%" `Quick
+            test_quantile_p50_accurate
+        ; q qcheck_quantile_relative_error
         ] )
     ; ( "json",
         [ q qcheck_snapshot_roundtrip
