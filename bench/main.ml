@@ -18,50 +18,31 @@
      T6  Contention behaviour (not in the paper): steps to decision under
          solo windows vs uniformly random scheduling.
      T7  Real multicore runs over Atomic.exchange.
-     T9  Exploration throughput (not in the paper): the seed checker's flat
-         BFS vs lib/explore's interned store + memoized solo oracle, serial
-         and domain-parallel.
      T10 Chaos campaigns (not in the paper): fault-injection throughput and
          detection counts — benign plans must produce zero violations,
          object-fault plans must be detected whenever they manifest.
+     T11 Static analysis (not in the paper): every registry protocol's
+         lint verdict and its measured solo maximum vs the proved bound.
      T12 Symmetry + partial-order reduction (not in the paper): reduced vs
          unreduced exploration on identical state spaces — interned-state
          collapse, wall-clock, and the Theorem 10 search with canonical
          interning.
-     T13 Declared-property overhead (not in the paper): the same reduced
-         exploration with and without the §4 properties (lib/prop)
-         attached — identical graphs and verdicts, so the wall-clock delta
-         is the cost of incremental property evaluation; budget <= 10%.
-     T14 Supervised recovery (not in the paper): Runtime.Make bare vs
-         under Supervisor.Make (lib/resil) with no crash (supervision
-         overhead) and with one seeded victim crash per run
-         (detection + rebuild + respawn round, time-to-recover
-         quantiles).
-     T15 Arena service (not in the paper): closed-loop throughput and
-         decide latency of the pooled consensus service vs domain count,
-         quiet and under a kill-and-heal overlay.
-     T16 Space certification & lint (not in the paper): the static lint
-         registry's whole-tree throughput, and per registry protocol the
-         declared space bound vs the measured/witnessed object usage from
-         Analyze.Space.
      F1  The Lemma 15 induction chain (paper Figure 1).
      F2  The Lemma 19 induction chain (paper Figure 2).
 
+   The tables print counts and verdicts (T2, T7, T8 and T12 abort on a
+   wrong one); their time columns are reproduction output, not a gate.
+   Throughput is measured, per layer and with checked outputs, by
+   perfbench/ (BENCHMARK.json's check-full, space-cert and serve-saturated
+   workloads), and CI gates on that.
+
    Usage: dune exec bench/main.exe [-- section ...] [--csv DIR] [--json FILE]
-   where section ∈ {t0..t16 f1 f2 bechamel all}; default all.  With
+   where section ∈ {t0..t8 t10 t11 t12 f1 f2 all}; default all.  With
    [--csv DIR], every table is additionally written to DIR/<section>.csv;
    with [--json FILE], all tables of the run are written to FILE as one
    machine-readable JSON document (section id, title, header, rows, wall
    time, and — since the run was instrumented — an "obs" metrics snapshot
-   per table covering the work since the section started).
-
-   A second entry point compares two such JSON files:
-
-     dune exec bench/main.exe -- compare old.json new.json \
-       [--max-regress PCT] [--min-seconds S]
-
-   It pairs sections by id on their wall times and exits non-zero when any
-   section regressed beyond the budget or disappeared — the CI bench gate. *)
+   per table covering the work since the section started). *)
 
 let csv_dir = ref None
 let json_path = ref None
@@ -630,81 +611,7 @@ let t8 () =
      1-lap lead breaks agreement, as does dropping the merge of lines \
      11-12.@."
 
-(* ------------------------------------------------------------------ T9 *)
-
-(* The seed checker's traversal (commit 1298ebb, frozen in
-   test/seed_ref.ml) is the throughput baseline: one flat hash table, a
-   Queue of whole configurations, and — the dominant cost — solo-termination
-   checks that re-run [run_solo] from scratch for every undecided process of
-   every visited configuration.  lib/explore replaces this with an interned
-   configuration store and a memoized solo oracle, and can split each BFS
-   level across domains; T9 quantifies the gain on identical state
-   spaces. *)
-let t9 () =
-  section_header "t9"
-    "exploration throughput: seed BFS vs lib/explore (Swap_ksa)";
-  let rate cfgs t = float_of_int cfgs /. t in
-  let rows =
-    List.map
-      (fun (n, k, m, lap, max_configs) ->
-        let (module P) = Core.Swap_ksa.make ~n ~k ~m in
-        let module S = Seed_ref.Checker_ref (P) in
-        let module C = Checker.Make (P) in
-        (* bound the total lap progress so the reachable space is finite
-           (and the budget is never hit — a budget-truncated run on four
-           domains may stop at a slightly different count than on one); the
-           same predicate goes to all three runs *)
-        let prune (c : C.E.config) =
-          Baselines.Registry.total_lap_prune lap c.C.E.mem
-        in
-        let inputs = Array.init n (fun i -> i mod m) in
-        let seed_r, seed_t =
-          time (fun () -> S.explore ~max_configs ~prune ~inputs ())
-        in
-        let seed_cfgs = seed_r.Checker.configs_explored in
-        let serial_r, serial_t =
-          time (fun () -> C.explore ~max_configs ~prune ~inputs ())
-        in
-        let par_r, par_t =
-          time (fun () ->
-              C.explore ~domains:4 ~max_configs ~prune ~inputs ())
-        in
-        (* all three engines must have visited the same state space *)
-        assert (seed_cfgs = serial_r.Checker.configs_explored);
-        assert (seed_cfgs = par_r.Checker.configs_explored);
-        assert (
-          List.length seed_r.Checker.violations
-          = List.length serial_r.Checker.violations);
-        [ string_of_int n
-        ; string_of_int k
-        ; string_of_int seed_cfgs
-        ; Fmt.str "%.0f" (rate seed_cfgs seed_t)
-        ; Fmt.str "%.0f" (rate seed_cfgs serial_t)
-        ; Fmt.str "%.0f" (rate seed_cfgs par_t)
-        ; Fmt.str "%.1fx" (seed_t /. serial_t)
-        ; Fmt.str "%.1fx" (seed_t /. par_t)
-        ])
-      [ 4, 1, 2, 4, 2_000_000
-      ; 5, 1, 2, 3, 2_000_000
-      ; 6, 1, 2, 2, 2_000_000
-      ; 7, 1, 2, 2, 2_000_000
-      ]
-  in
-  print_table
-    [ "n"
-    ; "k"
-    ; "configs"
-    ; "seed cfg/s"
-    ; "explore cfg/s"
-    ; "explore par(4) cfg/s"
-    ; "serial speedup"
-    ; "par(4) speedup"
-    ]
-    rows;
-  Fmt.pr
-    "same configurations, same violations; the gain is the memoized solo \
-     oracle (the seed re-ran every solo execution from scratch) plus \
-     level-parallel expansion.@."
+(* ----------------------------------------------------------------- T10 *)
 
 let t10 () =
   section_header "t10"
@@ -818,8 +725,9 @@ let t11 () =
 
 (* Reduced vs unreduced exploration: the symmetry (canonical-orbit
    interning) and partial-order reductions of lib/explore, measured on
-   identical state spaces.  The check rows share T9's total-lap prune so
-   every non-"-" run closes its graph inside the budget; the ratio column
+   identical state spaces.  The check rows bound the total lap progress
+   (Registry.total_lap_prune) so every non-"-" run closes its graph inside
+   the budget; the ratio column
    is the interned-state collapse the canonicalization buys.  Larger n run
    reduced-only — their unreduced spaces no longer fit the budget, which is
    the point of the reduction.  The Theorem 10 rows time the §5 induction's
@@ -905,309 +813,6 @@ let t12 () =
      there.@."
     "4!*3! = 144"
 
-(* ----------------------------------------------------------------- T13 *)
-
-(* Declared-property overhead: the checker's generic driver evaluates the
-   §4 properties (three step relations on every expanded edge, the
-   totality invariant on every visited configuration) incrementally during
-   exploration.  Attaching them must not change the explored graph or the
-   verdict (test/test_prop.ml proves verdict-for-verdict equality); this
-   table times what riding along costs.  Both runs are measured best-of-3
-   after a shared warm-up, on the reduced (sym + POR) graph under T12's
-   total-lap prune.  The overhead column is the gate: it must stay within
-   the 10% budget at every row. *)
-let t13 () =
-  section_header "t13"
-    "declared-property overhead: exploration with vs without §4 props";
-  (* interleave the two sides trial by trial: background-load drift on a
-     shared runner then biases both minima equally instead of landing
-     wholly on whichever side was measured second *)
-  let best_of_pair k f g =
-    let rec go k (bf, bg) =
-      if k = 0 then (bf, bg)
-      else
-        let _, tf = time f in
-        let _, tg = time g in
-        go (k - 1) (min bf tf, min bg tg)
-    in
-    go k (infinity, infinity)
-  in
-  let max_configs = 3_000_000 in
-  let sum_bare = ref 0. and sum_attached = ref 0. in
-  let rows =
-    List.map
-      (fun (n, lap) ->
-        let (module P) = Core.Swap_ksa.make ~n ~k:1 ~m:2 in
-        let module M = Core.Swap_ksa_monitor.Make (P) in
-        let module C = Checker.Make (P) in
-        let prune (c : C.E.config) =
-          Baselines.Registry.total_lap_prune lap c.C.E.mem
-        in
-        let inputs = Array.init n (fun i -> i mod 2) in
-        let bare () =
-          C.explore ~max_configs ~prune ~sym:true ~por:true ~inputs ()
-        in
-        let attached () =
-          C.explore ~max_configs ~prune ~sym:true ~por:true
-            ~extra_props:(fun _ -> M.online_props)
-            ~inputs ()
-        in
-        (* identical graphs, clean verdicts — the timing below compares
-           like with like *)
-        let rb, _ = time bare in
-        let ra, _ = time attached in
-        assert (Checker.ok rb && Checker.ok ra);
-        assert (rb.Checker.configs_explored = ra.Checker.configs_explored);
-        let bare_t, attached_t = best_of_pair 5 bare attached in
-        sum_bare := !sum_bare +. bare_t;
-        sum_attached := !sum_attached +. attached_t;
-        let overhead_pct = (attached_t /. bare_t -. 1.) *. 100. in
-        [ string_of_int n
-        ; string_of_int lap
-        ; string_of_int rb.Checker.configs_explored
-        ; Fmt.str "%.3f" bare_t
-        ; Fmt.str "%.3f" attached_t
-        ; Fmt.str "%.1f" overhead_pct
-        ])
-      [ 5, 4; 6, 3; 7, 3 ]
-  in
-  let rows =
-    rows
-    @ [ [ "all"
-        ; "-"
-        ; "-"
-        ; Fmt.str "%.3f" !sum_bare
-        ; Fmt.str "%.3f" !sum_attached
-        ; Fmt.str "%.1f" ((!sum_attached /. !sum_bare -. 1.) *. 100.)
-        ]
-      ]
-  in
-  print_table
-    [ "n"
-    ; "lap budget"
-    ; "configs"
-    ; "bare wall (s)"
-    ; "props wall (s)"
-    ; "overhead %"
-    ]
-    rows;
-  Fmt.pr
-    "identical graphs and verdicts by construction; the overhead column \
-     is the property-evaluation cost.  Budget: <= 10 on the aggregate \
-     'all' row (per-row numbers are informational — single rows are \
-     noise-prone on shared runners).@."
-
-(* ----------------------------------------------------------------- T14 *)
-
-(* Supervision and crash-recovery cost: the same protocol on real domains
-   (a) bare through Runtime.Make, (b) under Supervisor.Make with no crash
-   injected (pure supervision overhead: breaker + merged-view accounting
-   around a single round), and (c) under supervision with one seeded
-   victim crash per run, which exercises detection, state rebuild through
-   P.recovery and a respawn round.  The crashed column also reports
-   time-to-recover quantiles out of report.recover_ns (failure detection
-   to the recovery round's last join).  Wall times feed the CI bench gate
-   like every other section; the overhead of (b) over (a) is the number
-   to watch — supervision must be free when nothing fails. *)
-let t14 () =
-  section_header "t14" "supervised recovery: overhead and time-to-recover";
-  let runs = 20 in
-  let rows =
-    List.map
-      (fun n ->
-        let (module P) = Core.Swap_ksa.make ~n ~k:1 ~m:2 in
-        let module R = Runtime.Make (P) in
-        let module Sup = Supervisor.Make (P) in
-        let inputs = Array.init n (fun i -> i mod 2) in
-        let bare = ref 0. in
-        for seed = 1 to runs do
-          let o = R.run ~inputs ~seed () in
-          (match R.check ~inputs o with Ok () -> () | Error e -> failwith e);
-          bare := !bare +. o.R.elapsed
-        done;
-        let quiet = ref 0. in
-        for seed = 1 to runs do
-          let r = Sup.supervise ~inputs ~seed () in
-          (match Sup.check ~inputs r with
-          | Ok () -> ()
-          | Error e -> failwith e);
-          assert (r.Sup.rounds = 1);
-          quiet := !quiet +. r.Sup.outcome.Sup.R.elapsed
-        done;
-        let crashed = ref 0. in
-        let respawns = ref 0 in
-        let lat = ref [] in
-        for seed = 1 to runs do
-          let victim = seed mod n in
-          let crash_plan ~round ~pid =
-            if round = 0 && pid = victim then Some (seed mod 16) else None
-          in
-          let r = Sup.supervise ~inputs ~seed ~crash_plan () in
-          (match Sup.check ~inputs r with
-          | Ok () -> ()
-          | Error e -> failwith e);
-          crashed := !crashed +. r.Sup.outcome.Sup.R.elapsed;
-          respawns := !respawns + Array.fold_left ( + ) 0 r.Sup.respawns;
-          lat := r.Sup.recover_ns @ !lat
-        done;
-        let lat = List.sort Int64.compare !lat in
-        let pct p =
-          match lat with
-          | [] -> 0.
-          | l ->
-            let len = List.length l in
-            let idx = min (len - 1) (((p * (len - 1)) + 99) / 100) in
-            Int64.to_float (List.nth l idx) /. 1e6
-        in
-        let per t = t /. float_of_int runs in
-        [ string_of_int n
-        ; Fmt.str "%.4f" (per !bare)
-        ; Fmt.str "%.4f" (per !quiet)
-        ; Fmt.str "%.1f" ((!quiet /. !bare -. 1.) *. 100.)
-        ; Fmt.str "%.4f" (per !crashed)
-        ; string_of_int !respawns
-        ; Fmt.str "%.3f" (pct 50)
-        ; Fmt.str "%.3f" (pct 99)
-        ])
-      [ 4; 8 ]
-  in
-  print_table
-    [ "n"
-    ; "bare (s)"
-    ; "supervised quiet (s)"
-    ; "overhead %"
-    ; "1-crash (s)"
-    ; "respawns"
-    ; "recover p50 (ms)"
-    ; "recover p99 (ms)"
-    ]
-    rows;
-  Fmt.pr
-    "quiet supervision = one round, no respawns: its overhead column is \
-     bookkeeping only and should stay near zero.  The crashed column \
-     pays detection (the round's watchdog join) + rebuild + one respawn \
-     round; p50/p99 are per-incarnation failure-detection-to-join \
-     latencies from report.recover_ns.@."
-
-let t15 () =
-  section_header "t15"
-    "arena service: closed-loop throughput and latency vs domain count";
-  let protocol : Shmem.Protocol.t =
-    let (module P) = Core.Swap_ksa.make ~n:4 ~k:1 ~m:2 in
-    (module P)
-  in
-  let rounds = 4_000 and clients = 256 in
-  let rows =
-    List.concat_map
-      (fun domains ->
-        List.map
-          (fun (label, kill_every) ->
-            let open Arena.Loadgen in
-            let r =
-              run ~protocol ~clients ~rounds ~workers:domains ~seed:7
-                ~profile:Zero_think ?kill_every ()
-            in
-            if not r.ok then
-              failwith
-                (Fmt.str "t15: %s run failed at %d domains (%d violations)"
-                   label domains r.violation_count);
-            [ string_of_int domains
-            ; label
-            ; Fmt.str "%.0f" r.rounds_per_sec
-            ; Fmt.str "%.0f" r.decisions_per_sec
-            ; Fmt.str "%.1f" r.decide_p50_us
-            ; Fmt.str "%.1f" r.decide_p99_us
-            ; string_of_int r.kills
-            ; string_of_int r.steals
-            ])
-          [ "quiet", None; "kill-and-heal", Some 8 ])
-      [ 1; 2; 4 ]
-  in
-  print_table
-    [ "domains"
-    ; "overlay"
-    ; "rounds/s"
-    ; "decisions/s"
-    ; "decide p50 (us)"
-    ; "decide p99 (us)"
-    ; "kills"
-    ; "steals"
-    ]
-    rows;
-  Fmt.pr
-    "closed-loop service (%d clients, %d rounds, zero-think saturation): \
-     workers pull whole rounds from pooled epoch-stamped arenas, so \
-     throughput should scale with domains until admission serializes.  \
-     The kill-and-heal overlay (one round in 8 loses its driving \
-     incarnation; the round is adopted at the degraded bound) pays a \
-     respawn per kill — its throughput column prices recovery, and every \
-     run still passes agreement/validity/conservation or the bench \
-     aborts.@."
-    clients rounds
-
-let t16 () =
-  section_header "t16"
-    "space certification & lint: declared vs measured bounds, lint \
-     throughput";
-  let rows =
-    List.map
-      (fun (e : Baselines.Registry.entry) ->
-        let r =
-          Analyze.Space.run_protocol ~prune:e.prune ~certificate:false
-            e.protocol
-        in
-        [ e.name
-        ; string_of_int r.Analyze.Space.n
-        ; string_of_int r.Analyze.Space.k
-        ; string_of_int r.Analyze.Space.declared
-        ; string_of_int r.Analyze.Space.measured
-        ; string_of_int r.Analyze.Space.witness
-        ; string_of_int r.Analyze.Space.configs
-        ; (if r.Analyze.Space.exhaustive then "yes" else "no")
-        ; (if Analyze.Space.ok r then "pass" else "FAIL")
-        ])
-      (Baselines.Registry.standard ~n:4 ())
-  in
-  print_table
-    [ "protocol"
-    ; "n"
-    ; "k"
-    ; "declared"
-    ; "measured"
-    ; "witness"
-    ; "configs"
-    ; "exhaustive"
-    ; "certified"
-    ]
-    rows;
-  (* lint throughput: the whole-tree plan [swapspace lint] runs, timed.
-     The bench may be invoked away from the repo root (e.g. an installed
-     binary); skip rather than fail in that case. *)
-  (match Lint.repo_plan ~root:"." with
-  | [] -> Fmt.pr "lint throughput skipped: source tree not visible from cwd@."
-  | plan ->
-    let files =
-      List.fold_left
-        (fun acc (d, _) -> acc + List.length (Lint.ml_files d))
-        0 plan
-    in
-    let findings, dt = time (fun () -> Lint.run_plan plan) in
-    print_table
-      [ "lint files"; "findings"; "wall (s)"; "files/s" ]
-      [ [ string_of_int files
-        ; string_of_int (List.length findings)
-        ; Fmt.str "%.3f" dt
-        ; Fmt.str "%.0f" (float_of_int files /. Float.max dt 1e-9)
-        ] ]);
-  Fmt.pr
-    "space certification explores the reduced configuration graph and \
-     unions the objects any reachable process is poised to access: \
-     measured <= declared is the soundness direction the gate enforces, \
-     witness is the densest single explored execution, and the lap-pruned \
-     protocols report exhaustive = no (their tightness is not assessable \
-     by a bounded search).  The lint table times the same whole-tree pass \
-     plan the CI lint job runs.@."
-
 (* ------------------------------------------------------------- figures *)
 
 let f1 () =
@@ -1226,221 +831,14 @@ let f2 () =
   let r = L.run () in
   Fmt.pr "%a@.@.%a@." L.pp_result r L.pp_figure r
 
-(* ----------------------------------------------------------- bechamel *)
-
-let bechamel () =
-  section_header "bechamel" "wall-clock micro-benchmarks (one per table)";
-  let open Bechamel in
-  let simulated protocol ~burst name =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let (module P : Shmem.Protocol.S) = protocol in
-           let module E = Shmem.Exec.Make (P) in
-           let rng = Random.State.make [| 3 |] in
-           let inputs = Array.init P.n (fun i -> i mod P.num_inputs) in
-           let _, _, outcome =
-             E.run ~sched:(E.bursty rng ~burst) ~max_steps:100_000
-               (E.initial ~inputs)
-           in
-           assert (outcome = E.All_decided)))
-  in
-  let tests =
-    [ (* T1: the Lemma 9 adversary, full certificate *)
-      Test.make ~name:"t1/lemma9-adversary-n8"
-        (Staged.stage (fun () -> ignore (forced_objects ~n:8 ~k:1)))
-    ; (* T2: a solo execution *)
-      Test.make ~name:"t2/solo-run-n16"
-        (Staged.stage
-           (let (module P) = Core.Swap_ksa.make ~n:16 ~k:1 ~m:2 in
-            let module E = Shmem.Exec.Make (P) in
-            let inputs = Array.init 16 (fun i -> i mod 2) in
-            let c0 = E.initial ~inputs in
-            fun () ->
-              match E.run_solo ~pid:0 ~max_steps:200 c0 with
-              | Some _ -> ()
-              | None -> assert false))
-    ; (* T3/T4/F1/F2: the Lemma 15 construction at n=3 *)
-      Test.make ~name:"t3/lemma15-construction-n3"
-        (Staged.stage (fun () ->
-             let (module B) = Baselines.Binary_track_consensus.make ~n:3 ~cap:8 in
-             let module L = Lowerbound.Binary_lb.Make (B) in
-             ignore (L.run ())))
-    ; (* T5/T6: simulated contended runs *)
-      simulated (sksa ~n:8 ~k:1 ~m:2) ~burst:112 "t6/swap-ksa-n8-bursty"
-    ; simulated
-        (Baselines.Register_ksa.make ~n:8 ~k:1 ~m:2)
-        ~burst:112 "t6/register-ksa-n8-bursty"
-    ; (* T7: a real multicore decision *)
-      Test.make ~name:"t7/multicore-n4"
-        (Staged.stage (fun () ->
-             let inputs = [| 0; 1; 0; 1 |] in
-             ignore (Multicore.Swap_ksa_mc.run ~n:4 ~k:1 ~m:2 ~inputs ())))
-    ]
-  in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-    in
-    let raw = Benchmark.all cfg [ instance ] test in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false
-        ~predictors:[| Measure.run |]
-    in
-    let results = Analyze.all ols instance raw in
-    Hashtbl.iter
-      (fun name ols ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Fmt.str "%.0f ns/run" est
-          | _ -> "n/a"
-        in
-        Fmt.pr "  %-32s %s@." name ns)
-      results
-  in
-  List.iter
-    (fun t -> benchmark (Test.make_grouped ~name:"bench" [ t ]))
-    tests
-
-(* ------------------------------------------------------------ compare *)
-
-(* [bench compare old.json new.json]: the CI regression gate.  Each record
-   is a [--json] document from a previous run; a section's wall time is the
-   max [wall_s] among its tables (wall_s is cumulative since the section
-   header, so the max is the section total).  Sections present only in the
-   new record are ignored — new benchmarks are not regressions — while
-   sections that disappeared fail the gate. *)
-let wall_by_section path =
-  match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
-  | exception Sys_error e -> Error e
-  | doc -> (
-  match Obs.Json.of_string doc with
-  | Error e -> Error (Fmt.str "%s: %s" path e)
-  | Ok json -> (
-    match Option.bind (Obs.Json.mem "tables" json) Obs.Json.arr_opt with
-    | None -> Error (Fmt.str "%s: no \"tables\" array" path)
-    | Some tables ->
-      let walls = Hashtbl.create 16 in
-      let order = ref [] in
-      List.iter
-        (fun t ->
-          match
-            ( Option.bind (Obs.Json.mem "section" t) Obs.Json.str_opt,
-              Option.bind (Obs.Json.mem "wall_s" t) Obs.Json.num_opt )
-          with
-          | Some sec, Some w ->
-            if not (Hashtbl.mem walls sec) then order := sec :: !order;
-            Hashtbl.replace walls sec
-              (max w (Option.value ~default:0. (Hashtbl.find_opt walls sec)))
-          | _ -> ())
-        tables;
-      Ok
-        (List.rev_map (fun sec -> sec, Hashtbl.find walls sec) !order
-        |> List.rev)))
-
-let run_compare args =
-  let usage () =
-    Fmt.epr
-      "usage: bench compare OLD.json NEW.json [--max-regress PCT] \
-       [--min-seconds S]@.";
-    exit 2
-  in
-  let max_regress = ref 30. and floor = ref 0.05 in
-  let files = ref [] in
-  let float_arg name v =
-    match float_of_string_opt v with
-    | Some f -> f
-    | None ->
-      Fmt.epr "bad %s %s (want a number)@." name v;
-      usage ()
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--max-regress" :: v :: rest ->
-      max_regress := float_arg "--max-regress" v;
-      parse rest
-    | "--min-seconds" :: v :: rest ->
-      floor := float_arg "--min-seconds" v;
-      parse rest
-    | a :: rest -> (
-      match String.index_opt a '=' with
-      | Some i when String.sub a 0 i = "--max-regress" ->
-        max_regress :=
-          float_arg "--max-regress"
-            (String.sub a (i + 1) (String.length a - i - 1));
-        parse rest
-      | Some i when String.sub a 0 i = "--min-seconds" ->
-        floor :=
-          float_arg "--min-seconds"
-            (String.sub a (i + 1) (String.length a - i - 1));
-        parse rest
-      | _ ->
-        if String.length a > 0 && a.[0] = '-' then begin
-          Fmt.epr "unknown option %s@." a;
-          usage ()
-        end;
-        files := a :: !files;
-        parse rest)
-  in
-  parse args;
-  match List.rev !files with
-  | [ old_path; new_path ] -> (
-    match wall_by_section old_path, wall_by_section new_path with
-    | Error e, _ | _, Error e ->
-      Fmt.epr "bench compare: %s@." e;
-      exit 2
-    | Ok baseline, Ok current ->
-      let rows =
-        Obs.Compare.run ~max_regress:!max_regress ~floor:!floor ~baseline
-          ~current ()
-      in
-      (* audit trail: say exactly which tables this comparison covered,
-         and name the one-sided ones — a table present only in the
-         baseline is a Missing failure below, but one present only in
-         the new file would otherwise be skipped without a trace *)
-      let names l = List.map fst l in
-      let only_in a b =
-        List.filter (fun s -> not (List.mem s (names b))) (names a)
-      in
-      let compared =
-        List.filter (fun s -> List.mem s (names current)) (names baseline)
-      in
-      Fmt.pr "compared %d table(s): %s@." (List.length compared)
-        (String.concat ", " compared);
-      (match only_in baseline current with
-      | [] -> ()
-      | gone ->
-        Fmt.pr "only in %s (compared as Missing): %s@." old_path
-          (String.concat ", " gone));
-      (match only_in current baseline with
-      | [] -> ()
-      | fresh ->
-        Fmt.pr "only in %s (no baseline yet, not compared): %s@." new_path
-          (String.concat ", " fresh));
-      Fmt.pr "%a@." Obs.Compare.pp rows;
-      if Obs.Compare.failed rows then begin
-        Fmt.pr "FAIL: regression beyond %.0f%% budget@." !max_regress;
-        exit 1
-      end
-      else Fmt.pr "OK: within %.0f%% budget@." !max_regress)
-  | _ -> usage ()
-
 (* --------------------------------------------------------------- main *)
 
 let sections =
-  [ "t0", t0; "t1", t1; "t2", t2; "t3", t3; "t4", t4; "t5", t5; "t6", t6; "t7", t7
-  ; "t8", t8; "t9", t9; "t10", t10; "t11", t11; "t12", t12; "t13", t13
-  ; "t14", t14; "t15", t15; "t16", t16
-  ; "f1", f1
-  ; "f2", f2; "bechamel", bechamel ]
+  [ "t0", t0; "t1", t1; "t2", t2; "t3", t3; "t4", t4; "t5", t5; "t6", t6
+  ; "t7", t7; "t8", t8; "t10", t10; "t11", t11; "t12", t12; "f1", f1
+  ; "f2", f2 ]
 
-let run_tables args =
+let () =
   (* accept "--csv DIR", "--csv=DIR", "--json FILE" and "--json=FILE" *)
   let rec strip = function
     | "--csv" :: dir :: rest ->
@@ -1460,10 +858,9 @@ let run_tables args =
       | _ -> a :: strip rest)
     | [] -> []
   in
-  let args = strip args in
-  (* instrument only recorded runs: [--json] documents carry obs snapshots
-     and feed the regression gate, while plain (human-readable) runs keep
-     the disabled fast path they are meant to measure *)
+  let args = strip (List.tl (Array.to_list Sys.argv)) in
+  (* instrument only recorded runs: [--json] documents carry obs snapshots,
+     while plain (human-readable) runs keep the disabled fast path *)
   if !json_path <> None then Obs.enable ();
   let requested =
     match args with
@@ -1481,8 +878,3 @@ let run_tables args =
     requested;
   write_json ();
   Fmt.pr "@.done.@."
-
-let () =
-  match List.tl (Array.to_list Sys.argv) with
-  | "compare" :: rest -> run_compare rest
-  | args -> run_tables args

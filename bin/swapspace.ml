@@ -351,7 +351,8 @@ let check_cmd =
           ~doc:
             "Additionally prune configurations whose lap counters sum to \
              more than $(docv) across all processes (the tighter budget \
-             the T9/T12 benches use to close large-n graphs).")
+             bench T12 and perfbench's check-full use to close large-n \
+             graphs).")
   in
   let max_configs =
     Arg.(

@@ -18,7 +18,8 @@ module type S = sig
   val laps_get : state -> int -> int
   (** [laps_get s j] = [(laps s).(j)] without the copy — the §4 monitor
       reads lap components on every explored edge, where the defensive
-      allocation of {!laps} is measurable (bench T13) *)
+      allocation of {!laps} is measurable (perfbench check-full,
+      [self_s.prop.eval]) *)
 
   val preference : state -> int option
   (** the value whose lap the process would currently complete: the smallest

@@ -1,9 +1,8 @@
 (* Zero-dependency observability: counters, bucketed histograms, named
-   spans, a registry that snapshots to JSON or a text table, and the
-   comparison kernel behind `bench compare`.  See the interface for the
-   contract; the design constraint throughout is that every hot-path
-   operation is one branch when the library is disabled, and allocation-free
-   when enabled (counters and histograms touch only preallocated atomics). *)
+   spans and a registry that snapshots to JSON or a text table.  See the
+   interface for the contract; the design constraint throughout is that
+   every hot-path operation is one branch when the library is disabled, and
+   allocation-free when enabled (counters and histograms touch only preallocated atomics). *)
 
 (* ------------------------------------------------------------- switch *)
 
@@ -223,11 +222,6 @@ module Json = struct
   let mem key = function
     | Obj fields -> List.assoc_opt key fields
     | _ -> None
-
-  let num_opt = function Num v -> Some v | _ -> None
-  let str_opt = function Str s -> Some s | _ -> None
-  let arr_opt = function Arr xs -> Some xs | _ -> None
-  let obj_opt = function Obj fields -> Some fields | _ -> None
 end
 
 (* ---------------------------------------------------------- primitives *)
@@ -697,65 +691,3 @@ let pp_table ppf s =
   end;
   if is_empty s then Fmt.pf ppf "(no metrics recorded)@,";
   Fmt.pf ppf "@]"
-
-(* ------------------------------------------------------------- compare *)
-
-module Compare = struct
-  type verdict = Pass | Improved | Regressed | Missing
-
-  type row = {
-    key : string;
-    baseline : float;
-    current : float option;
-    delta_pct : float;
-    verdict : verdict;
-  }
-
-  let verdict_to_string = function
-    | Pass -> "ok"
-    | Improved -> "improved"
-    | Regressed -> "REGRESSED"
-    | Missing -> "MISSING"
-
-  let run ?(max_regress = 30.) ?(floor = 0.05) ~baseline ~current () =
-    if max_regress <= 0. then
-      invalid_arg "Obs.Compare.run: max_regress must be positive";
-    List.map
-      (fun (key, base) ->
-        match List.assoc_opt key current with
-        | None ->
-          { key; baseline = base; current = None; delta_pct = 0.
-          ; verdict = Missing }
-        | Some cur ->
-          let delta_pct =
-            if base <= 0. then 0. else (cur -. base) /. base *. 100.
-          in
-          let verdict =
-            (* below the floor on both sides the numbers are noise *)
-            if base < floor && cur < floor then Pass
-            else if delta_pct > max_regress then Regressed
-            else if delta_pct < -.max_regress then Improved
-            else Pass
-          in
-          { key; baseline = base; current = Some cur; delta_pct; verdict })
-      baseline
-
-  let failed rows =
-    List.exists
-      (fun r -> match r.verdict with Regressed | Missing -> true | _ -> false)
-      rows
-
-  let pp ppf rows =
-    Fmt.pf ppf "@[<v>%-24s %12s %12s %9s  %s@,"
-      "key" "baseline" "current" "delta" "verdict";
-    List.iter
-      (fun r ->
-        Fmt.pf ppf "%-24s %12.3f %12s %8.1f%%  %s@," r.key r.baseline
-          (match r.current with
-          | Some c -> Fmt.str "%.3f" c
-          | None -> "-")
-          r.delta_pct
-          (verdict_to_string r.verdict))
-      rows;
-    Fmt.pf ppf "@]"
-end

@@ -1,6 +1,6 @@
 (** Observability: counters, bucketed histograms and named spans behind a
-    process-global on/off switch, a registry that snapshots to JSON or a
-    text table, and the comparison kernel used by [bench compare].
+    process-global on/off switch, and a registry that snapshots to JSON or
+    a text table.
 
     Design constraints, in order:
 
@@ -38,8 +38,8 @@ val enabled : unit -> bool
 (** {1 Minimal JSON}
 
     A self-contained JSON tree, printer and recursive-descent parser — the
-    serialization substrate for snapshots and for [bench compare]'s record
-    files.  Accepts arbitrary JSON on input; emits no insignificant
+    serialization substrate for snapshots, [bench --json] records and
+    perfbench's result lines.  Accepts arbitrary JSON on input; emits no insignificant
     whitespace on output. *)
 
 module Json : sig
@@ -59,11 +59,6 @@ module Json : sig
 
   val mem : string -> t -> t option
   (** field lookup on an [Obj]; [None] on other constructors *)
-
-  val num_opt : t -> float option
-  val str_opt : t -> string option
-  val arr_opt : t -> t list option
-  val obj_opt : t -> (string * t) list option
 end
 
 (** {1 Metrics} *)
@@ -202,42 +197,3 @@ val snapshot_of_json : Json.t -> (snapshot, string) result
     [snapshot_of_json (snapshot_to_json s) = Ok s] *)
 
 val pp_table : Format.formatter -> snapshot -> unit
-
-(** {1 Regression comparison}
-
-    The kernel behind [bench compare]: given [(key, seconds)] measurements
-    from a baseline run and a current run, flag regressions beyond a
-    percentage budget.  Keys present only in the current run are ignored
-    (new benchmarks are not regressions); keys missing from the current run
-    fail the comparison. *)
-
-module Compare : sig
-  type verdict = Pass | Improved | Regressed | Missing
-
-  type row = {
-    key : string;
-    baseline : float;
-    current : float option;  (** [None] iff verdict is [Missing] *)
-    delta_pct : float;
-    verdict : verdict;
-  }
-
-  val run :
-    ?max_regress:float ->
-    ?floor:float ->
-    baseline:(string * float) list ->
-    current:(string * float) list ->
-    unit ->
-    row list
-  (** one row per baseline key, in baseline order.  [max_regress] (percent,
-      default 30) flags [Regressed] above and [Improved] below the
-      symmetric budget; measurements under [floor] seconds (default 0.05)
-      on both sides are [Pass] — at that scale the numbers are noise.
-      @raise Invalid_argument if [max_regress <= 0] *)
-
-  val failed : row list -> bool
-  (** any [Regressed] or [Missing] row *)
-
-  val verdict_to_string : verdict -> string
-  val pp : Format.formatter -> row list -> unit
-end

@@ -239,7 +239,7 @@ module Make (P : Shmem.Protocol.S) = struct
 
   (* both evaluators run on every visited configuration / expanded edge of
      instrumented explorations; when Obs is off (the common case, and what
-     bench T13's budget measures) skip the span closure and counter reads
+     perfbench's check-full workload times) skip the span closure and counter reads
      entirely *)
   let eval_config t s =
     match t.check_config with

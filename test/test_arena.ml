@@ -159,6 +159,42 @@ let test_kill_plan_validation () =
 
 (* -------------------------------------------------- pool supervision *)
 
+(* [within ~seconds what f] runs [f] on a helper domain and fails if it
+   has not returned after [seconds]: a supervisor that misses a wakeup
+   hangs rather than raising, and the helper is left behind when the test
+   executable exits *)
+let within ~seconds what f =
+  let result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set result
+          (Some (match f () with v -> Ok v | exception e -> Error e)))
+  in
+  let since = Resil.Clock.now_ns () in
+  let rec wait () =
+    match Atomic.get result with
+    | Some r ->
+      Domain.join d;
+      (match r with Ok v -> v | Error e -> raise e)
+    | None ->
+      if Resil.Clock.elapsed_s ~since > seconds then
+        Alcotest.failf "%s: still running after %.0f s" what seconds
+      else begin
+        Unix.sleepf 0.001;
+        wait ()
+      end
+  in
+  wait ()
+
+(* a case that runs a [Supervisor.Pool] (directly or through the service),
+   run under [within]: a lost wakeup fails it after 30 s instead of hanging
+   the executable *)
+let watched_case (name, speed, f) =
+  name, speed, fun () -> within ~seconds:30. name f
+
+let watched name f = watched_case (Alcotest.test_case name `Quick f)
+let watched_qcheck t = watched_case (QCheck_alcotest.to_alcotest t)
+
 let test_pool_quiet () =
   let ran = Array.make 4 0 in
   let report =
@@ -198,33 +234,6 @@ let test_pool_gives_up () =
   Alcotest.(check int) "breaker allowed 1 respawn" 1 report.respawns.(0);
   Alcotest.(check int) "both incarnations recorded" 2
     (List.length report.crashes)
-
-(* [within ~seconds what f] runs [f] on a helper domain and fails if it
-   has not returned after [seconds]: a supervisor that misses a wakeup
-   hangs rather than raising, and the helper is left behind when the test
-   executable exits *)
-let within ~seconds what f =
-  let result = Atomic.make None in
-  let d =
-    Domain.spawn (fun () ->
-        Atomic.set result
-          (Some (match f () with v -> Ok v | exception e -> Error e)))
-  in
-  let since = Resil.Clock.now_ns () in
-  let rec wait () =
-    match Atomic.get result with
-    | Some r ->
-      Domain.join d;
-      (match r with Ok v -> v | Error e -> raise e)
-    | None ->
-      if Resil.Clock.elapsed_s ~since > seconds then
-        Alcotest.failf "%s: still running after %.0f s" what seconds
-      else begin
-        Unix.sleepf 0.001;
-        wait ()
-      end
-  in
-  wait ()
 
 let test_pool_heals_late_crash_while_parked () =
   (* slot 0 raises only once the other two slots have returned and the
@@ -569,34 +578,31 @@ let () =
         ; Alcotest.test_case "validation" `Quick test_kill_plan_validation
         ] )
     ; ( "pool",
-        [ Alcotest.test_case "quiet run" `Quick test_pool_quiet
-        ; Alcotest.test_case "respawns until success" `Quick
-            test_pool_respawns_until_success
-        ; Alcotest.test_case "breaker gives up" `Quick test_pool_gives_up
+        [ watched "quiet run" test_pool_quiet
+        ; watched "respawns until success" test_pool_respawns_until_success
+        ; watched "breaker gives up" test_pool_gives_up
         ; Alcotest.test_case "late crash heals while parked" `Quick
             test_pool_heals_late_crash_while_parked
         ; Alcotest.test_case "no lost wakeup" `Quick test_pool_no_lost_wakeup
         ; Alcotest.test_case "validation" `Quick test_pool_validation
         ] )
     ; ( "service",
-        [ Alcotest.test_case "quiet serve" `Quick test_serve_quiet
+        [ watched "quiet serve" test_serve_quiet
         ; Alcotest.test_case "validation" `Quick test_serve_validation
-        ; Alcotest.test_case "admission deterministic" `Quick
-            test_admission_deterministic
-        ; QCheck_alcotest.to_alcotest
-            prop_admission_deterministic_under_chaos
-        ; QCheck_alcotest.to_alcotest prop_recycling_never_resurrects
-        ; Alcotest.test_case "work-stealing conserves clients" `Quick
+        ; watched "admission deterministic" test_admission_deterministic
+        ; watched_qcheck prop_admission_deterministic_under_chaos
+        ; watched_qcheck prop_recycling_never_resurrects
+        ; watched "work-stealing conserves clients"
             test_stealing_conserves_clients
-        ; Alcotest.test_case "escalation matches degraded bound" `Quick
+        ; watched "escalation matches degraded bound"
             test_escalation_matches_degraded_bound
-        ; Alcotest.test_case "caller-driven round killed and adopted" `Quick
+        ; watched "caller-driven round killed and adopted"
             test_caller_round_killed
         ] )
     ; ( "loadgen",
         [ Alcotest.test_case "profiles" `Quick test_loadgen_profiles
-        ; Alcotest.test_case "closed loop" `Quick test_loadgen_closed_loop
-        ; Alcotest.test_case "chaos soak" `Quick test_loadgen_chaos_soak
+        ; watched "closed loop" test_loadgen_closed_loop
+        ; watched "chaos soak" test_loadgen_chaos_soak
         ] )
     ; ( "hist",
         [ Alcotest.test_case "quantiles" `Quick test_hist_quantiles ] )

@@ -1,9 +1,8 @@
 (* lib/obs contract tests: the disabled path records nothing, counters and
    histograms aggregate correctly across domains, snapshot merge is a
    commutative monoid (so per-domain/per-shard snapshots combine in any
-   order), quantiles are monotone and bounded by the observed max, JSON
-   snapshots round-trip, and the [bench compare] kernel classifies
-   regressions/improvements/missing keys the way the CI gate relies on. *)
+   order), quantiles are monotone and bounded by the observed max, and JSON
+   snapshots round-trip. *)
 
 let snapshot =
   Alcotest.testable Obs.pp_table (fun (a : Obs.snapshot) b -> a = b)
@@ -271,64 +270,6 @@ let test_json_parser () =
   Alcotest.(check bool) "print/parse round-trip" true
     (Obs.Json.of_string (Obs.Json.to_string tree) = Ok tree)
 
-(* ------------------------------------------------------------- compare *)
-
-let verdicts rows = List.map (fun r -> r.Obs.Compare.key, r.Obs.Compare.verdict) rows
-
-let test_compare_regress () =
-  let rows =
-    Obs.Compare.run ~max_regress:30.
-      ~baseline:[ "t1", 1.0; "t2", 2.0 ]
-      ~current:[ "t1", 1.5; "t2", 2.1 ] ()
-  in
-  Alcotest.(check bool) "t1 regressed, t2 ok" true
-    (verdicts rows
-    = [ "t1", Obs.Compare.Regressed; "t2", Obs.Compare.Pass ]);
-  Alcotest.(check bool) "failed" true (Obs.Compare.failed rows)
-
-let test_compare_improve () =
-  let rows =
-    Obs.Compare.run ~max_regress:30. ~baseline:[ "t1", 2.0 ]
-      ~current:[ "t1", 1.0 ] ()
-  in
-  Alcotest.(check bool) "improved" true
-    (verdicts rows = [ "t1", Obs.Compare.Improved ]);
-  Alcotest.(check bool) "improvement is not a failure" false
-    (Obs.Compare.failed rows)
-
-let test_compare_missing_and_new () =
-  let rows =
-    Obs.Compare.run ~baseline:[ "gone", 1.0; "kept", 1.0 ]
-      ~current:[ "kept", 1.0; "brand-new", 99.0 ] ()
-  in
-  Alcotest.(check bool) "missing flagged, new ignored" true
-    (verdicts rows
-    = [ "gone", Obs.Compare.Missing; "kept", Obs.Compare.Pass ]);
-  Alcotest.(check bool) "missing fails" true (Obs.Compare.failed rows)
-
-let test_compare_floor () =
-  (* both sides under the noise floor: a 4x blowup on 10ms is not a
-     regression *)
-  let rows =
-    Obs.Compare.run ~max_regress:30. ~floor:0.05 ~baseline:[ "tiny", 0.01 ]
-      ~current:[ "tiny", 0.04 ] ()
-  in
-  Alcotest.(check bool) "sub-floor passes" true
-    (verdicts rows = [ "tiny", Obs.Compare.Pass ]);
-  (* ... but crossing well above the floor is *)
-  let rows =
-    Obs.Compare.run ~max_regress:30. ~floor:0.05 ~baseline:[ "tiny", 0.01 ]
-      ~current:[ "tiny", 0.2 ] ()
-  in
-  Alcotest.(check bool) "crossing the floor regresses" true
-    (Obs.Compare.failed rows)
-
-let test_compare_bad_budget () =
-  Alcotest.check_raises "nonpositive budget"
-    (Invalid_argument "Obs.Compare.run: max_regress must be positive")
-    (fun () ->
-      ignore (Obs.Compare.run ~max_regress:0. ~baseline:[] ~current:[] ()))
-
 (* ---------------------------------------------------------------- main *)
 
 let () =
@@ -363,13 +304,5 @@ let () =
         ; Alcotest.test_case "round-trip with spans" `Quick
             test_snapshot_roundtrip_with_spans
         ; Alcotest.test_case "parser" `Quick test_json_parser
-        ] )
-    ; ( "compare",
-        [ Alcotest.test_case "regression flagged" `Quick test_compare_regress
-        ; Alcotest.test_case "improvement passes" `Quick test_compare_improve
-        ; Alcotest.test_case "missing fails, new ignored" `Quick
-            test_compare_missing_and_new
-        ; Alcotest.test_case "noise floor" `Quick test_compare_floor
-        ; Alcotest.test_case "budget validation" `Quick test_compare_bad_budget
         ] )
     ]
